@@ -154,7 +154,7 @@ def cmd_profit(args) -> int:
         "w": sol.w,
         "expected_profit": math.exp(log_g) if log_g < 709.0 else math.inf,
         "log_expected_profit": log_g,
-        "value_of_waiting": math.expm1(log_g),
+        "value_of_waiting": math.expm1(log_g) if log_g < 709.0 else math.inf,
     }
     if args.mu_bar is not None:
         params = _params_from_args(args)

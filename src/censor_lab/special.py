@@ -1,9 +1,11 @@
-"""Numerically stable standard-normal primitives.
+"""Standard-normal primitives on top of ``scipy.special``.
 
-Scalar calls go through ``math`` (fast, used in the root-finder hot
-loops); ndarray inputs are routed through ``scipy.special`` ufuncs.
-The complement routines keep full relative accuracy out to |x| ~ 38,
-which the censor equation needs when evaluated deep in the tails.
+The log forms and the inverse CDF are scipy's ``log_ndtr`` and
+``ndtri`` ufuncs, and scalar inputs give ``float`` results.  The CDF
+pair is 0.5*erfc; its scalar branch stays on ``math.erfc``, which keeps
+the subnormal complement 1 - Phi(38) ~ 2.9e-316 that scipy's ``erfc``
+flushes to zero.  The hazard rate goes through the scaled ``erfcx``, so
+it stays accurate far beyond the range where 1 - Phi(x) underflows.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # erfcx(|x|/sqrt(2)) overflows for x below this; the complement is 1 to
 # machine precision there anyway.
 _HAZARD_UNDERFLOW = -37.0
-# switch point between direct log(erfc) and the scaled-erfcx form
-_LOG_TAIL_SWITCH = 8.0
+
+
+def _ufunc(f, x):
+    y = f(x)
+    return y if isinstance(x, np.ndarray) else float(y)
 
 
 def norm_pdf(x):
@@ -34,136 +39,49 @@ def norm_pdf(x):
     return math.exp(-0.5 * x * x) * INV_SQRT_2PI
 
 
+def _erfc(x):
+    return _sp.erfc(x) if isinstance(x, np.ndarray) else math.erfc(x)
+
+
 def norm_cdf(x):
     """Standard normal CDF; accepts +-inf and saturates to 1/0."""
-    if isinstance(x, np.ndarray):
-        return 0.5 * _sp.erfc(-x / SQRT2)
-    if x == math.inf:
-        return 1.0
-    if x == -math.inf:
-        return 0.0
-    return 0.5 * math.erfc(-x / SQRT2)
+    return 0.5 * _erfc(-x / SQRT2)
 
 
 def norm_cdf_complement(x):
     """1 - Phi(x) without cancellation for large positive x."""
-    if isinstance(x, np.ndarray):
-        return 0.5 * _sp.erfc(x / SQRT2)
-    if x == math.inf:
-        return 0.0
-    if x == -math.inf:
-        return 1.0
-    return 0.5 * math.erfc(x / SQRT2)
-
-
-def log_norm_cdf_complement(x):
-    """log(1 - Phi(x)), stable for arbitrarily large positive x."""
-    if isinstance(x, np.ndarray):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        tail = x > _LOG_TAIL_SWITCH
-        xt = x[tail]
-        out[tail] = np.log(0.5 * _sp.erfcx(xt / SQRT2)) - 0.5 * xt * xt
-        xb = x[~tail]
-        out[~tail] = np.log(0.5 * _sp.erfc(xb / SQRT2))
-        return out
-    if x > _LOG_TAIL_SWITCH:
-        return math.log(0.5 * float(_sp.erfcx(x / SQRT2))) - 0.5 * x * x
-    return math.log(0.5 * math.erfc(x / SQRT2))
+    return 0.5 * _erfc(x / SQRT2)
 
 
 def log_norm_cdf(x):
-    """log Phi(x), stable for arbitrarily negative x."""
-    if isinstance(x, np.ndarray):
-        return log_norm_cdf_complement(-x)
-    return log_norm_cdf_complement(-x)
+    """log Phi(x), accurate in both tails."""
+    return _ufunc(_sp.log_ndtr, x)
+
+
+def log_norm_cdf_complement(x):
+    """log(1 - Phi(x)), accurate in both tails."""
+    return _ufunc(_sp.log_ndtr, -x)
 
 
 def hazard(x):
-    """Normal hazard rate H(x) = pdf(x) / (1 - Phi(x)).
-
-    Evaluated through the scaled complementary error function, so it
-    stays accurate for x far beyond the range where 1 - Phi(x)
-    underflows.
-    """
+    """Normal hazard rate H(x) = pdf(x) / (1 - Phi(x))."""
     if isinstance(x, np.ndarray):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        low = x < _HAZARD_UNDERFLOW
-        out[low] = norm_pdf(x[low])  # complement is 1 to machine precision
-        out[~low] = SQRT_2_OVER_PI / _sp.erfcx(x[~low] / SQRT2)
-        return out
+        return np.where(x < _HAZARD_UNDERFLOW, norm_pdf(x),
+                        SQRT_2_OVER_PI / _sp.erfcx(x / SQRT2))
     if x < _HAZARD_UNDERFLOW:
         return norm_pdf(x)
     return SQRT_2_OVER_PI / float(_sp.erfcx(x / SQRT2))
 
 
-# Rational initial guess for the inverse CDF (Acklam's coefficients),
-# then one Halley step against the erfc-based CDF.
-_IA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_IB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_IC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ID = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _acklam(p):
-    p = np.asarray(p, dtype=float)
-    x = np.empty_like(p)
-
-    lo = p < _P_LOW
-    hi = p > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        a, b = _IA, _IB
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[mid] = num * q / den
-
-    c, d = _IC, _ID
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[lo] = num / den
-    if np.any(hi):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        x[hi] = -num / den
-    return x
-
-
 def inv_norm_cdf(p):
     """Inverse standard normal CDF on the open interval (0, 1).
 
-    Raises DomainError outside (0, 1).  Two-sided inverse of
-    ``norm_cdf`` to better than 1e-11 in probability space across
-    [1e-15, 1 - 1e-15].
+    Raises DomainError outside (0, 1), where the quantile is infinite
+    or undefined.
     """
-    scalar = not isinstance(p, np.ndarray)
-    q = np.asarray(p, dtype=float)
-    if np.any(q <= 0.0) or np.any(q >= 1.0) or not np.all(np.isfinite(q)):
+    x = _ufunc(_sp.ndtri, p)
+    if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)):
         raise DomainError(f"probability must lie strictly in (0, 1), got {p}")
-
-    x = _acklam(q)
-    # residual in p-space, evaluated from the accurate side of the tail
-    upper = q > 0.5
-    e = np.where(upper,
-                 (1.0 - q) - 0.5 * _sp.erfc(x / SQRT2),
-                 0.5 * _sp.erfc(-x / SQRT2) - q)
-    u = e / np.maximum(norm_pdf(x), 5e-324)
-    x = x - u / (1.0 + 0.5 * x * u)  # Halley step
-
-    if scalar:
-        return float(x)
     return x
 
 

@@ -2,9 +2,23 @@
 
 The revenue over the unit interval is R(theta) = theta + (1 - theta) *
 g_bar(theta); the first-order condition is solved exactly by scanning
-R' for its first sign change, and the two simplified closed-form cases
-(substitute profit models 1 + A*theta*exp(-alpha*theta) and
-exp(alpha*theta)) are exposed separately in terms of alpha alone.
+R' = 1 - g_bar + (1 - theta) * g_bar' for its first sign change, and the
+two simplified closed-form cases (substitute profit models
+1 + A*theta*exp(-alpha*theta) and exp(alpha*theta)) are exposed
+separately in terms of alpha alone.
+
+g_bar' has a closed form.  Differentiating F(W, sigma) = exp(-mu)
+implicitly gives the total derivatives of g(mu, sigma) along the censor,
+
+    dg/dmu = u - g,    dg/dsigma = 2*sigma*exp(sigma^2 - mu)*Phi(W + sigma),
+
+with u = b_tilde^-2: the hazard terms that dW/dmu and dW/dsigma bring in
+cancel exactly.  By the chain rule along (mu_bar*theta, sigma_bar*sqrt(theta)),
+
+    g_bar'(theta) = sigma_bar^2 * exp(sigma^2 - mu) * Phi(W + sigma)
+                    - mu_bar * (g - u),
+
+so g_bar and g_bar' come from one censor solve.
 """
 
 from __future__ import annotations
@@ -15,11 +29,12 @@ from typing import NamedTuple, Optional
 
 from scipy.optimize import brentq
 
+from .censor import solve_normal_censor
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams
-from .profit import g_bar
+from .model import ModelParams, ScaledParams
+from .profit import expected_profit, g_bar
+from .special import log_norm_cdf
 
-FD_STEP = 1e-6
 ENDPOINT_MARGIN = 1e-9
 SCAN_POINTS = 256
 LOCAL_MAX_PROBE = 1e-4
@@ -41,15 +56,30 @@ def revenue(theta: float, params: ModelParams) -> float:
     return theta + (1.0 - theta) * g_bar(theta, params)
 
 
+def _g_bar_and_prime(theta: float, params: ModelParams) -> tuple[float, float]:
+    """(g_bar(theta), g_bar'(theta)) from one censor solve, theta > 0."""
+    scaled = ScaledParams.from_horizon(params, theta)
+    mu, sigma = scaled.mu, scaled.sigma
+    sol = solve_normal_censor(mu, sigma)
+    g = expected_profit(mu, sigma, sol.w)
+    log_growth = sigma * sigma - mu + log_norm_cdf(sol.w + sigma)
+    growth = math.exp(log_growth) if log_growth < 709.0 else math.inf
+    return g, params.sigma2_bar * growth - params.mu_bar * (g - sol.u)
+
+
 def g_bar_prime(theta: float, params: ModelParams) -> float:
-    """Central finite difference of g_bar; the closed form has no theta derivative."""
-    h = FD_STEP * max(theta, 1.0)
-    h = min(h, 0.5 * theta)
-    return (g_bar(theta + h, params) - g_bar(theta - h, params)) / (2.0 * h)
+    """d g_bar / d theta for theta > 0, by the implicit-function theorem.
+
+    sigma_bar^2 * exp(sigma^2 - mu) * Phi(W + sigma) - mu_bar * (g - u) at
+    mu = mu_bar*theta, sigma = sigma_bar*sqrt(theta); the module docstring
+    derives it.
+    """
+    return _g_bar_and_prime(theta, params)[1]
 
 
 def _revenue_prime(theta: float, params: ModelParams) -> float:
-    return 1.0 - g_bar(theta, params) + (1.0 - theta) * g_bar_prime(theta, params)
+    g, gp = _g_bar_and_prime(theta, params)
+    return 1.0 - g + (1.0 - theta) * gp
 
 
 def solve_foc(params: ModelParams, tol: float = 1e-6) -> TimingSolution:
@@ -88,8 +118,8 @@ def solve_foc(params: ModelParams, tol: float = 1e-6) -> TimingSolution:
         raise ConvergenceError(
             f"stationary point {theta_star} is not a local maximum of R")
 
-    gp = g_bar_prime(theta_star, params)
-    residual = abs((g_bar(theta_star, params) - 1.0) / gp - (1.0 - theta_star))
+    g, gp = _g_bar_and_prime(theta_star, params)
+    residual = abs((g - 1.0) / gp - (1.0 - theta_star))
     if residual > tol:
         raise ConvergenceError(
             f"FOC residual {residual:.3e} above tol {tol:.3e} at theta={theta_star}")

@@ -87,6 +87,16 @@ class TestProfitCommand:
         rec = json.loads(out)
         assert "regime" not in rec
 
+    def test_overflowing_profit_reports_infinity(self, capsys):
+        # log g = 899 > log(DBL_MAX): g - 1 is reported as inf, not raised
+        code, out, _ = run(capsys, "profit", "--mu", "1", "--sigma", "30",
+                           "--json")
+        assert code == EXIT_OK
+        assert '"value_of_waiting": Infinity' in out
+        rec = json.loads(out)
+        assert rec["value_of_waiting"] == math.inf
+        assert rec["expected_profit"] == math.inf
+
 
 class TestTimingCommand:
     def test_exact_solver(self, capsys):

@@ -122,6 +122,15 @@ class TestLogCdf:
             log_lo, log_hi = log_tail_series_brackets(x)
             assert log_lo <= log_norm_cdf_complement(x) <= log_hi
 
+    def test_right_tail_of_log_cdf(self):
+        # log Phi(x) = log1p(-(1 - Phi(x))) < 0 however small the complement;
+        # the log of a rounded Phi(x) is off by 7% at x = 8 and 0.0 from 8.3
+        for x in [5.0, 7.0, 8.0, 8.3, 10.0, 20.0]:
+            val = log_norm_cdf(x)
+            assert val < 0.0
+            assert val == pytest.approx(math.log1p(-norm_cdf_complement(x)),
+                                        rel=1e-13)
+
     def test_beyond_double_underflow(self):
         # Phi_bar(60) ~ 1e-783 underflows as a double; the log must not
         val = log_norm_cdf_complement(60.0)

@@ -10,10 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from censor_lab import profit as profit_module
+from censor_lab import timing as timing_module
+from censor_lab.censor import solve_normal_censor
 from censor_lab.errors import DomainError
 from censor_lab.model import ModelParams
 from censor_lab.profit import g_bar
 from censor_lab.timing import (
+    g_bar_prime,
     revenue,
     solve_foc,
     theta_case_i,
@@ -78,6 +82,39 @@ class TestExactSolver:
     def test_tol_validation(self):
         with pytest.raises(DomainError):
             solve_foc(make_params(0.07), tol=0.0)
+
+
+def central_difference(theta: float, params: ModelParams) -> float:
+    """Finite-difference oracle for g_bar', independent of the closed form."""
+    h = min(1e-6 * max(theta, 1.0), 0.5 * theta)
+    return (g_bar(theta + h, params) - g_bar(theta - h, params)) / (2.0 * h)
+
+
+class TestGBarPrime:
+    @pytest.mark.parametrize("s2", VARIANCES)
+    @pytest.mark.parametrize("theta", (0.01, 0.3, 0.7, 5.0))
+    def test_matches_central_difference(self, s2, theta):
+        p = make_params(s2)
+        assert g_bar_prime(theta, p) == pytest.approx(
+            central_difference(theta, p), rel=1e-6)
+
+    @pytest.mark.parametrize("s2", VARIANCES)
+    def test_foc_residual_at_machine_level(self, s2):
+        assert solve_foc(make_params(s2)).foc_residual <= 1e-10
+
+    def test_one_censor_solve_per_scan_point(self, monkeypatch):
+        # every module that imported the solver gets the counting wrapper
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_normal_censor(*args, **kwargs)
+
+        for mod in (timing_module, profit_module):
+            assert mod.solve_normal_censor is solve_normal_censor
+            monkeypatch.setattr(mod, "solve_normal_censor", counting)
+        solve_foc(ModelParams.from_variance(0.05, 0.07))
+        assert 0 < len(calls) <= 300
 
 
 class TestCaseI:
