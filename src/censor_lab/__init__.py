@@ -30,6 +30,7 @@ from .censor import (
     mu_hat,
     optimal_forward_quantity,
     solve_normal_censor,
+    solve_normal_censor_array,
 )
 from .errors import ConvergenceError, DomainError
 from .mc import (
@@ -128,6 +129,7 @@ __all__ = [
     "sample_prices",
     "solve_foc",
     "solve_normal_censor",
+    "solve_normal_censor_array",
     "stationarity_solve",
     "theta_case_i",
     "theta_case_ii",

@@ -8,6 +8,13 @@ The censor threshold in standard-normal coordinates is the root W of
 which is strictly increasing in w.  The censor price is then
 b_tilde = exp(sigma*W + mu - sigma^2/2) > 1, and with revenue
 f(x) = 2*sqrt(x) the optimal forward quantity is u = b_tilde^(-2).
+
+``solve_normal_censor`` solves one (mu, sigma) pair with scalar
+arithmetic; ``solve_normal_censor_array`` solves whole arrays of pairs
+at once, for the callers that sweep a horizon grid.  Numpy's per-call
+overhead makes a 0-d call into the array kernel several times slower
+than the scalar solve, so each caller picks the path by the type of its
+input.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
@@ -39,6 +47,8 @@ _EXP_SWITCH = 50.0
 
 # exp(-mu) must not underflow for the root to be meaningful
 _MU_MAX = 700.0
+
+_EPS = float(np.finfo(float).eps)
 
 
 def censor_F(w: float, sigma: float) -> float:
@@ -77,7 +87,11 @@ def _dF_dw(w: float, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class CensorSolution:
-    """Solved censor: normal coordinate, price, quantity, diagnostics."""
+    """Solved censor: normal coordinate, price, quantity, diagnostics.
+
+    From ``solve_normal_censor_array`` every field is an array of the
+    broadcast input shape.
+    """
 
     w: float
     b_tilde: float
@@ -177,6 +191,118 @@ def solve_normal_censor(mu: float, sigma: float,
         u=math.exp(-2.0 * log_b),
         residual=residual,
         iterations=iterations,
+    )
+
+
+def _seed_array(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_seed`` elementwise, and the lower bound sigma/2 - mu/sigma on W.
+
+    F(w, sigma) <= exp(sigma*w - sigma^2/2) for every w, since
+    Phi(w - sigma) is the integral of exp(sigma*t - sigma^2/2)*pdf(t) over
+    t < w; so log F <= -mu at the small-sigma form, which lies left of W.
+    """
+    small = -mu / sigma + 0.5 * sigma
+    d = sigma + inv_norm_cdf(np.exp(-mu))  # sigma - mu_hat(mu)
+    with np.errstate(divide="ignore"):
+        return np.where(d > 2.0, d - 1.0 / d, small), small
+
+
+def _censor_F_array(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``censor_F`` elementwise, with the same overflow rewrite."""
+    expo = sigma * w - 0.5 * sigma * sigma
+    # np.where evaluates both branches; the one not taken may overflow
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        second = np.where(expo > _EXP_SWITCH, norm_pdf(sigma - w) / hazard(w),
+                          np.exp(expo) * norm_cdf_complement(w))
+    return norm_cdf(w - sigma) + second
+
+
+def _element(mu: np.ndarray, sigma: np.ndarray, i: int) -> str:
+    return f"element {i} (mu={float(mu[i])!r}, sigma={float(sigma[i])!r})"
+
+
+def solve_normal_censor_array(mu, sigma) -> CensorSolution:
+    """Solve F(W, sigma) = exp(-mu) elementwise over broadcastable arrays.
+
+    Newton's method on h(w) = log F(w, sigma) + mu.  dF/dw is proportional
+    to exp(sigma*w)*(1 - Phi(w)), which is log-concave (its log-derivative
+    sigma - H(w) decreases), so F, its integral, is log-concave and h is
+    concave: from the left of the root Newton climbs monotonically and
+    never overshoots.  From the right it lands left of the root, possibly
+    far out where the tail of log Phi is quadratic and each step only
+    halves the distance; that move is therefore capped, the cap doubling
+    each time it binds, and never goes below the lower bound of
+    ``_seed_array``.  An element stops once its step is within two ulps
+    of w, or once it crosses the root after having been left of it, which
+    only rounding can do.
+
+    Every element is validated as ``solve_normal_censor`` validates its
+    input, and ``residual`` is the same F-residual, held to DEFAULT_TOL;
+    errors name the offending element by its flat index.  ``iterations``
+    counts the h-evaluations of each element.
+    """
+    mu, sigma = np.broadcast_arrays(np.asarray(mu, dtype=float),
+                                    np.asarray(sigma, dtype=float))
+    shape = mu.shape
+    mu, sigma = mu.ravel(), sigma.ravel()
+    ok = (mu > 0.0) & (mu <= _MU_MAX) & (sigma > 0.0) & (sigma < math.inf)
+    if not ok.all():
+        raise DomainError(
+            f"censor input {_element(mu, sigma, int(np.argmin(ok)))} outside "
+            f"0 < mu <= {_MU_MAX:g}, 0 < sigma < inf")
+
+    w, lower = _seed_array(mu, sigma)
+    cap = np.maximum(0.5, 0.05 * np.abs(w))
+    was_left = np.zeros(w.shape, dtype=bool)
+    iterations = np.zeros(w.shape, dtype=np.int64)
+    live = np.arange(w.size)
+    for _ in range(MAX_ITER):
+        if live.size == 0:
+            break
+        wk, sk = w[live], sigma[live]
+        b = sk * wk - 0.5 * sk * sk + log_norm_cdf_complement(wk)
+        log_f = np.logaddexp(log_norm_cdf(wk - sk), b)
+        h = log_f + mu[live]
+        # h' = F_w / F = sigma * exp(b - log F); it underflows to 0 far out
+        # on the flat right of F, where the capped step takes over
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -h / (sk * np.exp(b - log_f))
+        right = h > 0.0
+        ck = cap[live]
+        capped = right & ~(step >= -ck)
+        step = np.where(capped, -ck, step)
+        cap[live] = np.where(capped, 2.0 * ck, ck)
+        lk = np.where(right, lower[live], wk)
+        lower[live] = lk
+        new = np.maximum(wk + step, lk)
+        crossed = right & was_left[live]
+        was_left[live] |= ~right
+        iterations[live] += 1
+        done = (h == 0.0) | crossed | (np.abs(new - wk) <= 2.0 * _EPS * np.abs(wk))
+        w[live] = np.where(done, wk, new)
+        live = live[~done]
+    if live.size:
+        raise ConvergenceError(
+            f"censor not converged in {MAX_ITER} steps at {_element(mu, sigma, live[0])}")
+
+    residual = np.abs(_censor_F_array(w, sigma) - np.exp(-mu))
+    if not (residual <= DEFAULT_TOL).all():
+        i = int(np.argmin(residual <= DEFAULT_TOL))
+        raise ConvergenceError(
+            f"censor residual {residual[i]:.3e} above tol {DEFAULT_TOL:.3e} "
+            f"at {_element(mu, sigma, i)}")
+
+    # the same clamp as the scalar solve: b_tilde > 1 holds mathematically
+    log_b = np.maximum(sigma * w + mu - 0.5 * sigma * sigma, 0.0)
+    with np.errstate(over="ignore"):
+        b_tilde = np.where(log_b < 709.0, np.exp(log_b), math.inf)
+    return CensorSolution(
+        w=w.reshape(shape),
+        b_tilde=b_tilde.reshape(shape),
+        log_b_tilde=log_b.reshape(shape),
+        u=np.exp(-2.0 * log_b).reshape(shape),
+        residual=residual.reshape(shape),
+        iterations=iterations.reshape(shape),
     )
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, mc, profit, statics, timing
-from .censor import solve_normal_censor
+from .censor import solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
 
@@ -41,6 +41,7 @@ _FIGURE_VARIANCES = {  # regime tag -> sigma_bar^2 at the default mu_bar = 0.05
     "high_var": 0.15,
     "critical": 0.10,
 }
+_PATH_DISPERSIONS = (0.25, 0.7, 1.0)  # kappa = mu_bar / sigma_bar^2 of the censor paths
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,24 @@ def cmd_figures(args) -> int:
         except OSError as exc:
             raise DomainError(f"cannot write {path}: {exc}") from exc
         written.append(str(path))
+
+    # the censor time path b_bar(theta), increasing for kappa < 1/2 and
+    # unimodal above
+    path_thetas = np.geomspace(1e-3, args.theta_max, args.points)
+    columns = [path_thetas]
+    for kappa in _PATH_DISPERSIONS:
+        params = ModelParams.from_variance(args.mu_bar, args.mu_bar / kappa)
+        columns.append(solve_normal_censor_array(*params.scaled(path_thetas)).log_b_tilde)
+    path = out_dir / "censor_path.csv"
+    try:
+        with path.open("w", newline="\n") as fh:
+            fh.write(",".join(["theta"] + [f"log_b_kappa_{k:g}" for k in _PATH_DISPERSIONS])
+                     + "\n")
+            for row in zip(*columns):
+                fh.write(",".join("%.17g" % v for v in row) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+    written.append(str(path))
     for path in written:
         print(path)
     return EXIT_OK
@@ -243,8 +262,8 @@ def cmd_statics(args) -> int:
         if not (0.0 < start < stop) or points < 2:
             raise DomainError("--omega-sweep needs 0 < start < stop and points >= 2")
         sigmas = np.linspace(start, stop, points)
-        records = [{"sigma": float(s), "omega": statics.omega_curve(float(s))}
-                   for s in sigmas]
+        records = [{"sigma": float(s), "omega": float(w)}
+                   for s, w in zip(sigmas, statics.omega_sweep(sigmas))]
         _emit_records(records, args)
         did_something = True
     if args.kappa is not None:
@@ -338,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_timing)
 
-    p = sub.add_parser("figures", help="export exact-vs-asymptotic CSV datasets")
+    p = sub.add_parser("figures", help="export exact-vs-asymptotic and censor-path CSV datasets")
     p.add_argument("--mu-bar", type=float, default=0.05)
     p.add_argument("--theta-max", type=float, default=2000.0)
     p.add_argument("--points", type=int, default=400)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -43,6 +45,10 @@ class ModelParams:
     def dispersion(self) -> float:
         """kappa = mu_bar / sigma_bar^2."""
         return self.mu_bar / self.sigma2_bar
+
+    def scaled(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, sigma) over an array of horizons, scaled as ScaledParams.from_horizon."""
+        return self.mu_bar * thetas, self.sigma_bar * np.sqrt(thetas)
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,14 @@ def indirect_profit(b: float) -> float:
 
 def log_expected_profit(mu: float, sigma: float,
                         w: float | None = None) -> float:
-    """log g(mu, sigma)."""
+    """log g(mu, sigma); elementwise when w is an array of solved censors."""
     if w is None:
         w = solve_normal_censor(mu, sigma).w
     s2 = sigma * sigma
     a = (s2 - mu) + log_norm_cdf(w + sigma)
     b = (-mu - sigma * w + 0.5 * s2) + log_norm_cdf_complement(w)
-    return float(np.logaddexp(a, b))
+    log_g = np.logaddexp(a, b)
+    return log_g if isinstance(w, np.ndarray) else float(log_g)
 
 
 def expected_profit(mu: float, sigma: float, w: float | None = None) -> float:

@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .censor import log_censor_F, solve_normal_censor
+from .censor import log_censor_F, solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams, ScaledParams
+from .model import ModelParams
 from .special import SQRT_2PI, hazard
 
 _REL_STEP = 1e-6
@@ -199,10 +199,7 @@ def censor_shape_check(params: ModelParams, theta_min: float = 1e-3,
     if not (0.0 < theta_min < theta_max) or points < 8:
         raise DomainError("need 0 < theta_min < theta_max and points >= 8")
     thetas = np.geomspace(theta_min, theta_max, points)
-    log_b = np.empty(points)
-    for i, t in enumerate(thetas):
-        scaled = ScaledParams.from_horizon(params, t)
-        log_b[i] = solve_normal_censor(scaled.mu, scaled.sigma).log_b_tilde
+    log_b = solve_normal_censor_array(*params.scaled(thetas)).log_b_tilde
     peak = int(np.argmax(log_b))
     rising = bool(np.all(np.diff(log_b) > 0.0))
     if rising or peak == points - 1:

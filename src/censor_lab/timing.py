@@ -2,10 +2,11 @@
 
 The revenue over the unit interval is R(theta) = theta + (1 - theta) *
 g_bar(theta); the first-order condition is solved exactly by scanning
-R' = 1 - g_bar + (1 - theta) * g_bar' for its first sign change, and the
-two simplified closed-form cases (substitute profit models
-1 + A*theta*exp(-alpha*theta) and exp(alpha*theta)) are exposed
-separately in terms of alpha alone.
+R' = 1 - g_bar + (1 - theta) * g_bar' for its first sign change, in one
+call of the array censor kernel over the scan grid, and refining that
+bracket with scalar solves.  The two simplified closed-form cases
+(substitute profit models 1 + A*theta*exp(-alpha*theta) and
+exp(alpha*theta)) are exposed separately in terms of alpha alone.
 
 g_bar' has a closed form.  Differentiating F(W, sigma) = exp(-mu)
 implicitly gives the total derivatives of g(mu, sigma) along the censor,
@@ -27,12 +28,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
 from scipy.optimize import brentq
 
-from .censor import solve_normal_censor
+from .censor import solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
-from .profit import expected_profit, g_bar
+from .profit import g_bar, log_expected_profit
 from .special import log_norm_cdf
 
 ENDPOINT_MARGIN = 1e-9
@@ -56,14 +58,28 @@ def revenue(theta: float, params: ModelParams) -> float:
     return theta + (1.0 - theta) * g_bar(theta, params)
 
 
-def _g_bar_and_prime(theta: float, params: ModelParams) -> tuple[float, float]:
-    """(g_bar(theta), g_bar'(theta)) from one censor solve, theta > 0."""
-    scaled = ScaledParams.from_horizon(params, theta)
-    mu, sigma = scaled.mu, scaled.sigma
-    sol = solve_normal_censor(mu, sigma)
-    g = expected_profit(mu, sigma, sol.w)
-    log_growth = sigma * sigma - mu + log_norm_cdf(sol.w + sigma)
-    growth = math.exp(log_growth) if log_growth < 709.0 else math.inf
+def _exp(x):
+    """exp, reading inf where it overflows; elementwise on arrays."""
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.exp(x)
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def _g_bar_and_prime(theta, params: ModelParams):
+    """(g_bar(theta), g_bar'(theta)) from one censor solve, theta > 0.
+
+    An array of thetas is solved by one call of the array censor kernel.
+    """
+    if isinstance(theta, np.ndarray):
+        mu, sigma = params.scaled(theta)
+        sol = solve_normal_censor_array(mu, sigma)
+    else:
+        scaled = ScaledParams.from_horizon(params, theta)
+        mu, sigma = scaled.mu, scaled.sigma
+        sol = solve_normal_censor(mu, sigma)
+    g = _exp(log_expected_profit(mu, sigma, sol.w))
+    growth = _exp(sigma * sigma - mu + log_norm_cdf(sol.w + sigma))
     return g, params.sigma2_bar * growth - params.mu_bar * (g - sol.u)
 
 
@@ -88,28 +104,22 @@ def solve_foc(params: ModelParams, tol: float = 1e-6) -> TimingSolution:
         raise DomainError(f"tol must be positive, got {tol}")
 
     lo_end, hi_end = ENDPOINT_MARGIN, 1.0 - ENDPOINT_MARGIN
-    n = SCAN_POINTS
-    grid = [lo_end + (hi_end - lo_end) * i / (n - 1) for i in range(n)]
-    values = [_revenue_prime(t, params) for t in grid]
+    grid = lo_end + (hi_end - lo_end) * np.arange(SCAN_POINTS) / (SCAN_POINTS - 1)
+    values = _revenue_prime(grid, params)
 
-    bracket = None
-    for i in range(n - 1):
-        if values[i] == 0.0:
-            bracket = (grid[i], grid[i])
-            break
-        if values[i] * values[i + 1] < 0.0:
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
+    # the first grid point that is a root or starts a sign change
+    hits = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
+    if hits.size == 0:
         raise ConvergenceError(
             f"no sign change of R' on (0, 1) for {params}; "
             "a root is guaranteed for valid inputs")
 
-    if bracket[0] == bracket[1]:
-        theta_star = bracket[0]
+    i = hits[0]
+    if values[i] == 0.0:
+        theta_star = float(grid[i])
     else:
         theta_star = brentq(lambda t: _revenue_prime(t, params),
-                            bracket[0], bracket[1], xtol=1e-12)
+                            float(grid[i]), float(grid[i + 1]), xtol=1e-12)
 
     r_star = revenue(theta_star, params)
     lo_probe = max(theta_star - LOCAL_MAX_PROBE, 0.0)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
 from censor_lab.censor import (
     censor_F,
@@ -21,6 +22,7 @@ from censor_lab.censor import (
     mu_hat,
     optimal_forward_quantity,
     solve_normal_censor,
+    solve_normal_censor_array,
 )
 from censor_lab.errors import DomainError
 from censor_lab.model import ModelParams
@@ -196,3 +198,59 @@ class TestQuantityAndTimePath:
         assert 0 < peak < len(logs) - 1
         assert all(b > a for a, b in zip(logs[:peak], logs[1:peak + 1]))
         assert all(b < a for a, b in zip(logs[peak:], logs[peak + 1:]))
+
+
+def _domain_sample():
+    """Log-uniform (mu, sigma) over the whole valid domain, plus its corners."""
+    rng = np.random.default_rng(7)
+    mu = np.exp(rng.uniform(math.log(1e-12), math.log(700.0), 3000))
+    sigma = np.exp(rng.uniform(math.log(1e-8), math.log(1e3), 3000))
+    edge_mu, edge_sigma = np.meshgrid([1e-12, 1e-3, 1.0, 50.0, 700.0],
+                                      [1e-8, 1e-4, 1.0, 30.0, 1e3])
+    return (np.concatenate([mu, edge_mu.ravel()]),
+            np.concatenate([sigma, edge_sigma.ravel()]))
+
+
+class TestArrayKernel:
+    def test_matches_scalar_solver_over_domain(self):
+        mu, sigma = _domain_sample()
+        sol = solve_normal_censor_array(mu, sigma)
+        assert np.isfinite(sol.w).all() and np.isfinite(sol.log_b_tilde).all()
+        assert np.isfinite(sol.u).all()
+        assert (sol.residual <= 1e-12).all()
+        assert (sol.log_b_tilde >= 0.0).all()
+        # a plain Newton from the seed took up to 60 steps in the far tails
+        assert sol.iterations.max() <= 30
+        eps = np.finfo(float).eps
+        for i in range(mu.size):
+            ref = solve_normal_censor(mu[i], sigma[i])
+            # F is flat where dF/dw is tiny, and there a root to within
+            # an ulp of F lies far from the true W
+            log_fw = (math.log(sigma[i]) + sigma[i] * ref.w
+                      - 0.5 * sigma[i] ** 2 + float(log_ndtr(-ref.w)))
+            tol = 2.0 * 64.0 * eps * (abs(ref.w) + math.exp(min(-log_fw, 700.0)))
+            assert abs(sol.w[i] - ref.w) <= tol, (mu[i], sigma[i])
+            assert (sol.b_tilde[i] == math.inf) == (ref.b_tilde == math.inf)
+
+    def test_broadcasting_and_shapes(self):
+        sigmas = np.array([0.01, 0.3, 1.0, 5.0])
+        row = solve_normal_censor_array(0.05, sigmas)
+        for field in ("w", "b_tilde", "log_b_tilde", "u", "residual", "iterations"):
+            assert getattr(row, field).shape == (4,)
+        for s, w in zip(sigmas, row.w):
+            assert w == pytest.approx(solve_normal_censor(0.05, s).w, rel=1e-12)
+        mus = np.array([[0.05], [0.5], [2.0]])
+        grid = solve_normal_censor_array(mus, sigmas[None, :])
+        assert grid.w.shape == grid.iterations.shape == (3, 4)
+        np.testing.assert_array_equal(grid.w[0], row.w)
+        assert solve_normal_censor_array(0.05, 0.3).w.shape == ()
+
+    @pytest.mark.parametrize("mu,sigma", [(-1.0, 0.3), (0.05, 0.0),
+                                          (800.0, 0.3), (0.05, math.nan),
+                                          (0.05, math.inf)])
+    def test_invalid_element_is_named(self, mu, sigma):
+        mus = np.array([0.05, 0.5, mu, 1.0])
+        sigmas = np.array([0.3, 0.3, sigma, 0.3])
+        with pytest.raises(DomainError, match=r"element 2 \(mu=%r, sigma=%r\)"
+                           % (mu, sigma)):
+            solve_normal_censor_array(mus, sigmas)

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from censor_lab.censor import solve_normal_censor
@@ -15,6 +16,7 @@ from censor_lab.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from censor_lab.model import ModelParams, ScaledParams
 
 
 def run(capsys, *argv):
@@ -153,6 +155,26 @@ class TestFiguresCommand:
             assert theta == pytest.approx(800.0, rel=1e-12)
             assert math.log(exact) == pytest.approx(math.log(approx),
                                                     abs=1e-3)
+
+    def test_censor_path_matches_scalar_loop(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "figures", "--out", str(tmp_path),
+                           "--points", "30", "--theta-max", "2000")
+        assert code == EXIT_OK
+        path = tmp_path / "censor_path.csv"
+        assert str(path) in out
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "theta,log_b_kappa_0.25,log_b_kappa_0.7,log_b_kappa_1"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (30, 4)
+        np.testing.assert_allclose(rows[:, 0], np.geomspace(1e-3, 2000.0, 30), rtol=1e-15)
+        for col, kappa in enumerate((0.25, 0.7, 1.0), start=1):
+            params = ModelParams.from_variance(0.05, 0.05 / kappa)
+            ref = [solve_normal_censor(s.mu, s.sigma).log_b_tilde
+                   for s in (ScaledParams.from_horizon(params, t) for t in rows[:, 0])]
+            np.testing.assert_allclose(rows[:, col], ref, rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(rows[:, 1]) > 0.0)  # kappa < 1/2: increasing
+        peak = int(np.argmax(rows[:, 3]))
+        assert 0 < peak < 29  # kappa = 1: unimodal
 
     def test_validation(self, capsys, tmp_path):
         code, _, _ = run(capsys, "figures", "--out", str(tmp_path),

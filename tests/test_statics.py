@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from censor_lab.censor import solve_normal_censor
+from censor_lab import statics as statics_module
+from censor_lab.censor import solve_normal_censor, solve_normal_censor_array
 from censor_lab.errors import ConvergenceError, DomainError
-from censor_lab.model import ModelParams
+from censor_lab.model import ModelParams, ScaledParams
 from censor_lab.special import hazard
 from censor_lab.statics import (
     censor_shape_check,
@@ -172,6 +173,37 @@ class TestShapeCheck:
         sol = stationarity_solve(params=p)
         assert abs(math.log(rep.theta_peak / sol.theta_star_b)) \
             <= rep.log_grid_step
+
+    @pytest.mark.parametrize("kappa", (0.25, 0.5, 1.0))
+    def test_matches_scalar_loop(self, kappa):
+        # the loop of scalar solves the array kernel replaced
+        p = ModelParams.from_variance(0.05, 0.05 / kappa)
+        rep = censor_shape_check(p)
+        log_b = np.array([
+            solve_normal_censor(s.mu, s.sigma).log_b_tilde
+            for s in (ScaledParams.from_horizon(p, t) for t in rep.thetas)])
+        np.testing.assert_allclose(rep.log_b_values, log_b, rtol=0.0, atol=1e-12)
+        peak = int(np.argmax(log_b))
+        increasing = bool(np.all(np.diff(log_b) > 0.0)) or peak == log_b.size - 1
+        assert rep.shape == ("increasing" if increasing else "unimodal")
+        assert rep.theta_peak == (None if increasing else rep.thetas[peak])
+
+    def test_one_kernel_call_and_no_scalar_solve(self, monkeypatch):
+        scalar, kernel = [], []
+
+        def counting_scalar(*args, **kwargs):
+            scalar.append(args)
+            return solve_normal_censor(*args, **kwargs)
+
+        def counting_kernel(*args, **kwargs):
+            kernel.append(args)
+            return solve_normal_censor_array(*args, **kwargs)
+
+        monkeypatch.setattr(statics_module, "solve_normal_censor", counting_scalar)
+        monkeypatch.setattr(statics_module, "solve_normal_censor_array", counting_kernel)
+        censor_shape_check(ModelParams.from_variance(0.05, 0.07))
+        assert scalar == []
+        assert len(kernel) == 1 and kernel[0][0].shape == (400,)
 
     def test_validation(self):
         p = ModelParams.from_variance(0.05, 0.05)

@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from censor_lab import profit as profit_module
 from censor_lab import timing as timing_module
-from censor_lab.censor import solve_normal_censor
+from censor_lab.censor import solve_normal_censor, solve_normal_censor_array
 from censor_lab.errors import DomainError
 from censor_lab.model import ModelParams
 from censor_lab.profit import g_bar
@@ -115,6 +116,47 @@ class TestGBarPrime:
             monkeypatch.setattr(mod, "solve_normal_censor", counting)
         solve_foc(ModelParams.from_variance(0.05, 0.07))
         assert 0 < len(calls) <= 300
+
+
+def scalar_scan_theta_star(params: ModelParams) -> float:
+    """solve_foc's root as found by a loop of scalar R' evaluations."""
+    lo_end, hi_end = timing_module.ENDPOINT_MARGIN, 1.0 - timing_module.ENDPOINT_MARGIN
+    n = timing_module.SCAN_POINTS
+    grid = [lo_end + (hi_end - lo_end) * i / (n - 1) for i in range(n)]
+    values = [timing_module._revenue_prime(t, params) for t in grid]
+    for i in range(n - 1):
+        if values[i] == 0.0:
+            return grid[i]
+        if values[i] * values[i + 1] < 0.0:
+            return brentq(lambda t: timing_module._revenue_prime(t, params),
+                          grid[i], grid[i + 1], xtol=1e-12)
+    raise AssertionError("no sign change of R'")
+
+
+class TestArrayScan:
+    @pytest.mark.parametrize("s2", VARIANCES)
+    def test_matches_scalar_scan(self, s2):
+        p = make_params(s2)
+        assert abs(solve_foc(p).theta_star - scalar_scan_theta_star(p)) <= 1e-12
+
+    def test_one_kernel_call_and_few_scalar_solves(self, monkeypatch):
+        scalar, kernel = [], []
+
+        def counting_scalar(*args, **kwargs):
+            scalar.append(args)
+            return solve_normal_censor(*args, **kwargs)
+
+        def counting_kernel(*args, **kwargs):
+            kernel.append(args)
+            return solve_normal_censor_array(*args, **kwargs)
+
+        for mod in (timing_module, profit_module):
+            monkeypatch.setattr(mod, "solve_normal_censor", counting_scalar)
+        monkeypatch.setattr(timing_module, "solve_normal_censor_array", counting_kernel)
+        solve_foc(ModelParams.from_variance(0.05, 0.07))
+        assert len(scalar) <= 20
+        assert len(kernel) == 1
+        assert kernel[0][0].shape == (timing_module.SCAN_POINTS,)
 
 
 class TestCaseI:
