@@ -2,14 +2,18 @@
 brute-force policy search agreeing with the closed-form quantity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from censor_lab import censor, mc
 from censor_lab.censor import solve_normal_censor
 from censor_lab.errors import DomainError
 from censor_lab.mc import (
     McEstimate,
+    _estimate,
+    _uniform_open,
     brute_force_optimal_u,
     mc_censored_mean,
     mc_expected_profit,
@@ -19,6 +23,7 @@ from censor_lab.mc import (
 )
 from censor_lab.model import ScaledParams
 from censor_lab.profit import expected_profit
+from censor_lab.special import inv_norm_cdf
 
 SEED = 20260823
 SCALED = ScaledParams(mu=0.05, sigma=0.3)
@@ -140,6 +145,75 @@ class TestBruteForce:
             brute_force_optimal_u(SCALED, u_points=100)
         with pytest.raises(DomainError):
             brute_force_optimal_u(SCALED, quad_points=500)
+
+
+def _dense_objective(scaled, u_points, quad_points):
+    """The raw objective on the full (u_points + 1) x quad_points grid."""
+    q = (np.arange(quad_points) + 0.5) / quad_points
+    b = np.exp(scaled.nu + scaled.sigma * inv_norm_cdf(q))
+    b_inv2 = b ** -2.0
+    u = np.linspace(0.0, 1.0, u_points + 1)
+    z = np.clip(b_inv2[None, :] - u[:, None], 0.0, None)
+    return u, np.mean(2.0 * np.sqrt(z + u[:, None]) - b[None, :] * z, axis=1) - u
+
+
+def _assert_matches_dense(scaled, u_points=400, quad_points=10_000):
+    u, objective = _dense_objective(scaled, u_points, quad_points)
+    i = int(np.argmax(objective))
+    bf = brute_force_optimal_u(scaled, u_points=u_points, quad_points=quad_points)
+    assert bf.u_star == u[i], (scaled, bf.u_star, u[i])
+    assert bf.objective == pytest.approx(objective[i], rel=1e-12, abs=0.0), scaled
+    assert bf.u_step == u[1] - u[0]
+
+
+class TestBruteForceAgainstDenseGrid:
+    def test_log_uniform_sample_small_grid(self):
+        rng = np.random.default_rng(20260823)
+        mus = np.exp(rng.uniform(math.log(1e-6), math.log(50.0), 200))
+        sigmas = np.exp(rng.uniform(math.log(1e-3), math.log(5.0), 200))
+        for mu, sigma in zip(mus, sigmas):
+            _assert_matches_dense(ScaledParams(mu=float(mu), sigma=float(sigma)),
+                                  u_points=200, quad_points=2000)
+
+    @pytest.mark.parametrize("mu, sigma", [(0.05, 0.3), (0.02, 0.2), (0.1, 0.4),
+                                           (0.05, 0.5), (0.2, 0.3)])
+    def test_criterion_pairs_default_grid(self, mu, sigma):
+        _assert_matches_dense(ScaledParams(mu=mu, sigma=sigma))
+
+    def test_peak_memory_at_defaults(self):
+        tracemalloc.start()
+        try:
+            brute_force_optimal_u(SCALED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_independent_of_censor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute force must not touch the censor equation")
+
+        for module in (censor, mc):
+            monkeypatch.setattr(module, "solve_normal_censor", refuse)
+        monkeypatch.setattr(censor, "censor_F", refuse)
+        bf = brute_force_optimal_u(SCALED)
+        assert 0.0 < bf.u_star < 1.0
+
+
+class TestInPlaceArithmetic:
+    @pytest.mark.parametrize("seed", [1, 42, 12345])
+    def test_sample_matches_plain_expression(self, seed):
+        n = 100_000
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        plain = np.exp(SCALED.nu + SCALED.sigma * inv_norm_cdf(_uniform_open(rng, n)))
+        assert np.array_equal(sample_prices(SCALED, n, seed).values, plain)
+
+    @pytest.mark.parametrize("seed", [1, 42, 12345])
+    def test_profit_matches_plain_expression(self, seed):
+        sample = sample_prices(SCALED, 100_000, seed)
+        b_tilde = solve_normal_censor(SCALED.mu, SCALED.sigma).b_tilde
+        assert mc_expected_profit(sample, b_tilde) \
+            == _estimate(1.0 / np.minimum(sample.values, b_tilde))
 
 
 class TestVerificationReport:
