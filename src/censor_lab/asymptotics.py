@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .censor import mu_hat, solve_normal_censor
 from .errors import DomainError
 from .model import ModelParams, ScaledParams
-from .special import log_norm_cdf, log_norm_cdf_complement, norm_cdf
+from .special import exp_or_inf, log_norm_cdf, log_norm_cdf_complement, norm_cdf
 
 
 class Regime(enum.Enum):
@@ -80,9 +80,8 @@ def g_asymptotic_sigma(mu: float, sigma: float, direction: str) -> AsymptoticEst
     if mu <= 0.0 or sigma <= 0.0:
         raise DomainError("mu and sigma must be positive")
     if direction == "large":
-        expo = sigma * sigma - mu
         return AsymptoticEstimate(
-            value=math.exp(expo) if expo < 709.0 else math.inf,
+            value=exp_or_inf(sigma * sigma - mu),
             valid_direction="sigma->inf",
             error_order="o(1/sigma)",
         )
@@ -111,15 +110,14 @@ def g_asymptotic_theta(theta: float, params: ModelParams,
         value = 1.0
         order = "o(1/sqrt(theta))"
     elif regime is Regime.MID_VAR:
-        value = 1.0 + math.exp(alpha * theta)
+        value = 1.0 + exp_or_inf(alpha * theta)
         order = "o(1/sqrt(theta))"
     elif regime is Regime.HIGH_VAR:
-        expo = alpha * theta
-        value = math.exp(expo) if expo < 709.0 else math.inf
+        value = exp_or_inf(alpha * theta)
         order = "o(1/sqrt(theta))"
     else:
         expo = params.mu_bar * theta + log_norm_cdf(math.sqrt(2.0 * params.mu_bar * theta))
-        value = 0.25 + (math.exp(expo) if expo < 709.0 else math.inf)
+        value = 0.25 + exp_or_inf(expo)
         order = "o(1/sqrt(theta))"
     return AsymptoticEstimate(value=value, valid_direction="theta->inf",
                               error_order=order)

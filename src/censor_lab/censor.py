@@ -28,6 +28,7 @@ from scipy.optimize import brentq
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
 from .special import (
+    exp_or_inf,
     hazard,
     inv_norm_cdf,
     log_norm_cdf,
@@ -186,7 +187,7 @@ def solve_normal_censor(mu: float, sigma: float,
     log_b = max(log_b, 0.0)
     return CensorSolution(
         w=w,
-        b_tilde=math.exp(log_b) if log_b < 709.0 else math.inf,
+        b_tilde=exp_or_inf(log_b),
         log_b_tilde=log_b,
         u=math.exp(-2.0 * log_b),
         residual=residual,
@@ -294,11 +295,9 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
 
     # the same clamp as the scalar solve: b_tilde > 1 holds mathematically
     log_b = np.maximum(sigma * w + mu - 0.5 * sigma * sigma, 0.0)
-    with np.errstate(over="ignore"):
-        b_tilde = np.where(log_b < 709.0, np.exp(log_b), math.inf)
     return CensorSolution(
         w=w.reshape(shape),
-        b_tilde=b_tilde.reshape(shape),
+        b_tilde=exp_or_inf(log_b).reshape(shape),
         log_b_tilde=log_b.reshape(shape),
         u=np.exp(-2.0 * log_b).reshape(shape),
         residual=residual.reshape(shape),

@@ -28,6 +28,7 @@ from . import asymptotics, mc, profit, statics, timing
 from .censor import solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
+from .special import exp_or_inf
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -88,10 +89,6 @@ def _scaled_from_args(args) -> ScaledParams:
     if direct:
         if args.mu is None or args.sigma is None:
             raise DomainError("--mu and --sigma must be given together")
-        if not (math.isfinite(args.mu) and args.mu > 0.0):
-            raise DomainError(f"--mu must be positive and finite, got {args.mu}")
-        if not (math.isfinite(args.sigma) and args.sigma > 0.0):
-            raise DomainError(f"--sigma must be positive and finite, got {args.sigma}")
         return ScaledParams(mu=args.mu, sigma=args.sigma, theta=1.0)
     if args.mu_bar is None or args.sigma2_bar is None:
         raise DomainError("--mu-bar and --sigma2-bar must be given together")
@@ -153,7 +150,7 @@ def cmd_profit(args) -> int:
         "mu": scaled.mu,
         "sigma": scaled.sigma,
         "w": sol.w,
-        "expected_profit": math.exp(log_g) if log_g < 709.0 else math.inf,
+        "expected_profit": exp_or_inf(log_g),
         "log_expected_profit": log_g,
         "value_of_waiting": math.expm1(log_g) if log_g < 709.0 else math.inf,
     }

@@ -28,6 +28,7 @@ import numpy as np
 from .censor import censor_price, solve_normal_censor
 from .errors import DomainError
 from .model import ScaledParams
+from .profit import expected_profit
 from .special import inv_norm_cdf
 
 DEFAULT_SE_MULTIPLIER = 3.0
@@ -197,8 +198,6 @@ class VerificationReport:
 def run_verification(scaled: ScaledParams, n: int, seed: int,
                      se_multiplier: float = DEFAULT_SE_MULTIPLIER) -> VerificationReport:
     """Martingale, profit and brute-force cross-checks in one pass."""
-    from .profit import expected_profit  # local import to avoid a cycle
-
     sol = solve_normal_censor(scaled.mu, scaled.sigma)
     sample = sample_prices(scaled, n, seed)
     mart = mc_censored_mean(sample, sol.b_tilde)

@@ -19,7 +19,7 @@ import numpy as np
 from .censor import solve_normal_censor
 from .errors import DomainError
 from .model import ModelParams, ScaledParams
-from .special import log_norm_cdf, log_norm_cdf_complement
+from .special import exp_or_inf, log_norm_cdf, log_norm_cdf_complement
 
 
 def indirect_profit(b: float) -> float:
@@ -42,9 +42,8 @@ def log_expected_profit(mu: float, sigma: float,
 
 
 def expected_profit(mu: float, sigma: float, w: float | None = None) -> float:
-    """g(mu, sigma) > 1; may overflow to inf for extreme sigma^2 - mu."""
-    lg = log_expected_profit(mu, sigma, w)
-    return math.exp(lg) if lg < 709.0 else math.inf
+    """g(mu, sigma) > 1, or inf for extreme sigma^2 - mu; elementwise like the log."""
+    return exp_or_inf(log_expected_profit(mu, sigma, w))
 
 
 def value_of_waiting(mu: float, sigma: float) -> float:
@@ -66,4 +65,4 @@ def myopic_profit(theta: float, params: ModelParams) -> float:
     """Expected profit with no forward contract: exp((sigma_bar^2 - mu_bar)*theta)."""
     if theta < 0.0:
         raise DomainError(f"theta must be nonnegative, got {theta}")
-    return math.exp((params.sigma2_bar - params.mu_bar) * theta)
+    return exp_or_inf((params.sigma2_bar - params.mu_bar) * theta)

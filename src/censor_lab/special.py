@@ -32,6 +32,14 @@ def _ufunc(f, x):
     return y if isinstance(x, np.ndarray) else float(y)
 
 
+def exp_or_inf(x):
+    """exp(x), or inf from x = 709 (just below log DBL_MAX) on; elementwise on arrays."""
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.where(x < 709.0, np.exp(x), math.inf)
+    return math.exp(x) if x < 709.0 else math.inf
+
+
 def norm_pdf(x):
     """Standard normal density exp(-x^2/2)/sqrt(2*pi)."""
     if isinstance(x, np.ndarray):

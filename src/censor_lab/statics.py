@@ -1,14 +1,16 @@
 """Comparative statics of the censor.
 
-All partial derivatives are central finite differences of the solved
-implicit function; the hazard identity
+Each partial derivative of W and b_tilde takes one censor solve: it is
+the implicit-function theorem on F(W, sigma) = exp(-mu), assembled in
+log space.  Central finite differences of the solved censor are kept
+only as the oracle: ``db_*_sign`` with an explicit step, and the hazard
+identity
 
     W + sigma * dW/dsigma - sigma = H(W)
 
-ties the finite-difference machinery back to a closed form and bounds
-its error.  The stationarity system locates the interior maximum of
-the censor time path b_bar(theta) when the dispersion kappa =
-mu_bar / sigma_bar^2 is at least 1/2.
+checked with its own difference quotient.  The stationarity system
+locates the interior maximum of the censor time path b_bar(theta) when
+the dispersion kappa = mu_bar / sigma_bar^2 is at least 1/2.
 """
 
 from __future__ import annotations
@@ -23,57 +25,63 @@ from scipy.optimize import brentq
 from .censor import log_censor_F, solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams
-from .special import SQRT_2PI, hazard
-
-_REL_STEP = 1e-6
+from .special import (SQRT_2PI, exp_or_inf, hazard, log_norm_cdf,
+                      log_norm_cdf_complement)
 
 
 def _w(mu: float, sigma: float) -> float:
     return solve_normal_censor(mu, sigma).w
 
 
-def _log_b(mu: float, sigma: float) -> float:
-    return solve_normal_censor(mu, sigma).log_b_tilde
+def dw_dmu(mu: float, sigma: float) -> float:
+    """dW/dmu = -exp(-mu)/F_w, F_w = sigma*exp(sigma*W - sigma^2/2)*(1 - Phi(W))."""
+    w = _w(mu, sigma)
+    return -exp_or_inf(-mu - math.log(sigma) - sigma * w + 0.5 * sigma * sigma
+                       - log_norm_cdf_complement(w))
 
 
-def dw_dmu(mu: float, sigma: float, h: float | None = None) -> float:
-    h = _REL_STEP * mu if h is None else h
-    return (_w(mu + h, sigma) - _w(mu - h, sigma)) / (2.0 * h)
+def dw_dsigma(mu: float, sigma: float) -> float:
+    """dW/dsigma = (H(W) - W + sigma)/sigma, with H the normal hazard rate."""
+    w = _w(mu, sigma)
+    return (hazard(w) - w + sigma) / sigma
 
 
-def dw_dsigma(mu: float, sigma: float, h: float | None = None) -> float:
-    h = _REL_STEP * sigma if h is None else h
-    return (_w(mu, sigma + h) - _w(mu, sigma - h)) / (2.0 * h)
+def _log_b_difference(mu: float, sigma: float, h_mu: float, h_sigma: float) -> float:
+    """The oracle: b_tilde times the central difference of log b_tilde on one axis."""
+    up = solve_normal_censor(mu + h_mu, sigma + h_sigma).log_b_tilde
+    down = solve_normal_censor(mu - h_mu, sigma - h_sigma).log_b_tilde
+    return solve_normal_censor(mu, sigma).b_tilde * (up - down) / (2.0 * (h_mu + h_sigma))
 
 
 def db_dmu_sign(mu: float, sigma: float, h: float | None = None) -> float:
-    """Central-difference d(b_tilde)/d(mu); negative for all valid inputs.
+    """d(b_tilde)/d(mu) = -exp(mu)*Phi(W - sigma)/(1 - Phi(W)) <= 0.
 
-    Differenced in log b_tilde and rescaled, so it stays usable where
-    b_tilde is astronomically large.
+    This is b_tilde*(1 + sigma*dW/dmu) rewritten through the martingale
+    identity, so nothing cancels.  A step h in (0, mu) selects the oracle.
     """
-    h = _REL_STEP * mu if h is None else h
-    if not 0.0 < h < mu:
-        raise DomainError(f"step h={h} must lie in (0, mu)")
-    b = math.exp(_log_b(mu, sigma))
-    return b * (_log_b(mu + h, sigma) - _log_b(mu - h, sigma)) / (2.0 * h)
+    if h is not None:
+        if not 0.0 < h < mu:
+            raise DomainError(f"step h={h} must lie in (0, mu)")
+        return _log_b_difference(mu, sigma, h, 0.0)
+    w = _w(mu, sigma)
+    return -exp_or_inf(mu + log_norm_cdf(w - sigma) - log_norm_cdf_complement(w))
 
 
 def db_dsigma_sign(mu: float, sigma: float, h: float | None = None) -> float:
-    """Central-difference d(b_tilde)/d(sigma); positive for all valid inputs."""
-    h = _REL_STEP * sigma if h is None else h
-    if not 0.0 < h < sigma:
-        raise DomainError(f"step h={h} must lie in (0, sigma)")
-    b = math.exp(_log_b(mu, sigma))
-    return b * (_log_b(mu, sigma + h) - _log_b(mu, sigma - h)) / (2.0 * h)
+    """d(b_tilde)/d(sigma) = b_tilde*H(W) >= 0; a step h in (0, sigma) selects the oracle."""
+    if h is not None:
+        if not 0.0 < h < sigma:
+            raise DomainError(f"step h={h} must lie in (0, sigma)")
+        return _log_b_difference(mu, sigma, 0.0, h)
+    sol = solve_normal_censor(mu, sigma)
+    return sol.b_tilde * hazard(sol.w)
 
 
-def hazard_identity_residual(mu: float, sigma: float,
-                             h: float = 1e-6) -> float:
+def hazard_identity_residual(mu: float, sigma: float, h: float = 1e-6) -> float:
     """|W + sigma*dW/dsigma - sigma - H(W)| with dW/dsigma by central difference."""
     w = _w(mu, sigma)
-    lhs = w + sigma * dw_dsigma(mu, sigma, h) - sigma
-    return abs(lhs - hazard(w))
+    dw = (_w(mu, sigma + h) - _w(mu, sigma - h)) / (2.0 * h)
+    return abs(w + sigma * dw - sigma - hazard(w))
 
 
 def omega_curve(sigma: float, bracket=(-0.5, 1.5)) -> float:

@@ -34,8 +34,8 @@ from scipy.optimize import brentq
 from .censor import solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
-from .profit import g_bar, log_expected_profit
-from .special import log_norm_cdf
+from .profit import expected_profit, g_bar
+from .special import exp_or_inf, log_norm_cdf
 
 ENDPOINT_MARGIN = 1e-9
 SCAN_POINTS = 256
@@ -58,14 +58,6 @@ def revenue(theta: float, params: ModelParams) -> float:
     return theta + (1.0 - theta) * g_bar(theta, params)
 
 
-def _exp(x):
-    """exp, reading inf where it overflows; elementwise on arrays."""
-    if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore"):
-            return np.exp(x)
-    return math.exp(x) if x < 709.0 else math.inf
-
-
 def _g_bar_and_prime(theta, params: ModelParams):
     """(g_bar(theta), g_bar'(theta)) from one censor solve, theta > 0.
 
@@ -78,8 +70,8 @@ def _g_bar_and_prime(theta, params: ModelParams):
         scaled = ScaledParams.from_horizon(params, theta)
         mu, sigma = scaled.mu, scaled.sigma
         sol = solve_normal_censor(mu, sigma)
-    g = _exp(log_expected_profit(mu, sigma, sol.w))
-    growth = _exp(sigma * sigma - mu + log_norm_cdf(sol.w + sigma))
+    g = expected_profit(mu, sigma, sol.w)
+    growth = exp_or_inf(sigma * sigma - mu + log_norm_cdf(sol.w + sigma))
     return g, params.sigma2_bar * growth - params.mu_bar * (g - sol.u)
 
 

@@ -121,6 +121,12 @@ class TestProfitInTheta:
         assert 0.25 + 0.5 * math.exp(MU_BAR * theta) < crit \
             < 0.25 + math.exp(MU_BAR * theta)
 
+    def test_leading_values_overflow_to_infinity(self):
+        # alpha*theta = 1000 in the mid-variance regime
+        params = ModelParams.from_variance(1.0, 1.5)
+        assert classify_regime(params) is Regime.MID_VAR
+        assert g_asymptotic_theta(2000.0, params).value == math.inf
+
     def test_gap_matches_direct_subtraction_at_moderate_theta(self):
         # where the leading term is O(1) the naive difference is still
         # accurate enough to cross-check the stable decomposition

@@ -99,6 +99,13 @@ class TestProfitCommand:
         assert rec["value_of_waiting"] == math.inf
         assert rec["expected_profit"] == math.inf
 
+    def test_overflowing_myopic_profit_reports_infinity(self, capsys):
+        # (sigma_bar^2 - mu_bar)*theta = 9990 > log(DBL_MAX)
+        code, out, _ = run(capsys, "profit", "--mu-bar", "0.01", "--sigma2-bar", "10",
+                           "--theta", "1000", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["myopic_profit"] == math.inf
+
 
 class TestTimingCommand:
     def test_exact_solver(self, capsys):

@@ -155,6 +155,10 @@ class TestHorizonProfit:
         assert myopic_profit(theta, params) == pytest.approx(
             ref, rel=max(1e-11, 10 * err))
 
+    def test_myopic_overflow_reads_infinity(self):
+        params = ModelParams.from_variance(0.01, 10.0)
+        assert myopic_profit(1000.0, params) == math.inf
+
     def test_exceeds_myopic(self):
         # the forward contract adds value over never contracting
         params = ModelParams.from_variance(0.05, 0.07)

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 from censor_lab.errors import DomainError
 from censor_lab.special import (
+    exp_or_inf,
     hazard,
     inv_norm_cdf,
     log_norm_cdf,
@@ -55,6 +56,15 @@ def log_tail_series_brackets(x: float):
         partial += t
         sums.append(log_lead + math.log(partial))
     return min(sums[-1], sums[-2]), max(sums[-1], sums[-2])
+
+
+class TestExpOrInf:
+    def test_scalar_and_array_agree_across_the_threshold(self):
+        x = np.array([-math.inf, -1.0, 0.0, 708.9, 709.0, 709.5, 1e4, math.inf])
+        values = exp_or_inf(x)
+        assert values.tolist() == [exp_or_inf(float(v)) for v in x]
+        assert values[3] == math.exp(708.9)
+        assert values[4:].tolist() == [math.inf] * 4
 
 
 class TestDensityAndCdf:

@@ -4,6 +4,7 @@ system for the censor-path maximum."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -54,6 +55,91 @@ class TestSignsOnGrid:
             db_dmu_sign(0.05, 0.3, h=0.1)
         with pytest.raises(DomainError):
             db_dsigma_sign(0.05, 0.3, h=1.0)
+
+
+def mp_derivatives(mu, sigma):
+    """(dW/dmu, dW/dsigma, db/dmu, db/dsigma) at 50 digits, independent of the library.
+
+    W is the root of log F(w, sigma) + mu, unique since F increases in w,
+    so the double-precision seed does not bias it.  Each derivative is a
+    central difference at step 1e-20: truncation ~1e-40, rounding ~1e-30.
+    """
+    seed = solve_normal_censor(mu, sigma).w
+    with mpmath.workdps(50):
+        h = mpmath.mpf("1e-20")
+
+        def w(m, s):
+            return mpmath.findroot(
+                lambda x: mpmath.log(mpmath.ncdf(x - s) + mpmath.exp(s * x - s * s / 2)
+                                     * mpmath.ncdf(-x)) + m, seed)
+
+        def log_b(m, s):
+            return s * w(m, s) + m - s * s / 2
+
+        mu, sigma = mpmath.mpf(mu), mpmath.mpf(sigma)
+        b = mpmath.exp(log_b(mu, sigma))
+        return [float(v) for v in (
+            (w(mu + h, sigma) - w(mu - h, sigma)) / (2 * h),
+            (w(mu, sigma + h) - w(mu, sigma - h)) / (2 * h),
+            b * (log_b(mu + h, sigma) - log_b(mu - h, sigma)) / (2 * h),
+            b * (log_b(mu, sigma + h) - log_b(mu, sigma - h)) / (2 * h))]
+
+
+CLOSED_FORMS = (dw_dmu, dw_dsigma, db_dmu_sign, db_dsigma_sign)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("mu,sigma", [(0.05, 0.3), (0.5, 2.0), (2.0, 0.5)])
+    def test_match_high_precision_reference(self, mu, sigma):
+        got = [f(mu, sigma) for f in CLOSED_FORMS]
+        np.testing.assert_allclose(got, mp_derivatives(mu, sigma), rtol=1e-13, atol=0.0)
+
+    def test_match_finite_difference_oracle_on_grid(self):
+        # at a 1e-4 relative step the central differences are within ~5e-6
+        # of the closed forms on this grid; at a 1e-6 step rounding in
+        # log b_tilde alone moves them by up to ~5e-4
+        def w(mu, sigma):
+            return solve_normal_censor(mu, sigma).w
+
+        worst = 0.0
+        for mu, sigma in GRID:
+            hm, hs = 1e-4 * mu, 1e-4 * sigma
+            dw_dmu_fd = (w(mu + hm, sigma) - w(mu - hm, sigma)) / (2 * hm)
+            dw_dsigma_fd = (w(mu, sigma + hs) - w(mu, sigma - hs)) / (2 * hs)
+            pairs = [(dw_dmu(mu, sigma), dw_dmu_fd), (dw_dsigma(mu, sigma), dw_dsigma_fd)]
+            # beyond mu/sigma ~ 5 log b_tilde sits at the double noise floor
+            # and the difference quotient of it is meaningless
+            if mu / sigma < 5.0:
+                pairs += [(db_dmu_sign(mu, sigma), db_dmu_sign(mu, sigma, h=hm)),
+                          (db_dsigma_sign(mu, sigma), db_dsigma_sign(mu, sigma, h=hs))]
+            worst = max(worst, *(abs(a - b) / abs(b) for a, b in pairs))
+        assert worst <= 1e-4
+
+    @pytest.mark.parametrize("derivative", CLOSED_FORMS)
+    def test_one_censor_solve(self, derivative, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_normal_censor(*args, **kwargs)
+
+        monkeypatch.setattr(statics_module, "solve_normal_censor", counting)
+        derivative(0.05, 0.3)
+        assert calls == [(0.05, 0.3)]
+
+    @pytest.mark.parametrize("mu,sigma", [(0.01, 50.0), (2.0, 0.05), (700.0, 1e-3)])
+    def test_domain_edges(self, mu, sigma):
+        # b_tilde overflows at the first point; at the other two the
+        # derivatives of b_tilde underflow, far below what a difference
+        # quotient of log b_tilde resolves
+        assert db_dmu_sign(mu, sigma) <= 0.0
+        assert db_dsigma_sign(mu, sigma) >= 0.0
+        assert math.isfinite(dw_dmu(mu, sigma)) and dw_dmu(mu, sigma) < 0.0
+        assert math.isfinite(dw_dsigma(mu, sigma)) and dw_dsigma(mu, sigma) > 1.0
+
+    def test_drift_derivative_at_largest_mu(self):
+        # F ~ exp(sigma*W - sigma^2/2) there, so dW/dmu ~ -1/sigma
+        assert dw_dmu(700.0, 1e-3) == pytest.approx(-1000.0, rel=1e-9)
 
 
 class TestMonotoneCombinations:
