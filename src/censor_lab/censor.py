@@ -10,11 +10,15 @@ b_tilde = exp(sigma*W + mu - sigma^2/2) > 1, and with revenue
 f(x) = 2*sqrt(x) the optimal forward quantity is u = b_tilde^(-2).
 
 ``solve_normal_censor`` solves one (mu, sigma) pair with scalar
-arithmetic; ``solve_normal_censor_array`` solves whole arrays of pairs
-at once, for the callers that sweep a horizon grid.  Numpy's per-call
-overhead makes a 0-d call into the array kernel several times slower
-than the scalar solve, so each caller picks the path by the type of its
-input.
+arithmetic: bracket, brentq and a Newton polish on the F-residual.
+``solve_normal_censor_array`` solves whole arrays of pairs at once, for
+the callers that sweep a horizon grid: Newton on the concave
+log F + mu from the best of three seeds, which at the small-sigma end
+is the inverse of the normal loss function, since there
+1 - F ~ sigma*psi(W).  Numpy's per-call overhead makes a 0-d call into
+the array kernel several times slower than the scalar solve, so each
+caller picks the path by the type of its input.  The two paths keep
+separate seed rules for now, so that the scalar W stays bit-identical.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ from scipy.optimize import brentq
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
 from .special import (
+    INV_SQRT_2PI,
+    SQRT2,
+    SQRT_2PI,
     exp_or_inf,
     hazard,
     inv_norm_cdf,
@@ -50,6 +57,12 @@ _EXP_SWITCH = 50.0
 _MU_MAX = 700.0
 
 _EPS = float(np.finfo(float).eps)
+_LOG_2 = math.log(2.0)
+
+# the array kernel takes a left step this small relative to max(1, |w|)
+# as its last: Newton's quadratic convergence leaves an error of order
+# its square, below the rounding level of h
+_LAST_STEP = 1e-10
 
 
 def censor_F(w: float, sigma: float) -> float:
@@ -59,11 +72,13 @@ def censor_F(w: float, sigma: float) -> float:
     if sigma == 0.0:
         return 1.0
     expo = sigma * w - 0.5 * sigma * sigma
+    # norm_cdf and norm_cdf_complement written out on math.erfc: this is
+    # the scalar solver's inner loop, and the arithmetic is theirs
     if expo > _EXP_SWITCH:
         second = norm_pdf(sigma - w) / hazard(w)
     else:
-        second = math.exp(expo) * norm_cdf_complement(w)
-    return norm_cdf(w - sigma) + second
+        second = math.exp(expo) * (0.5 * math.erfc(w / SQRT2))
+    return 0.5 * math.erfc(-(w - sigma) / SQRT2) + second
 
 
 def log_censor_F(w: float, sigma: float) -> float:
@@ -112,14 +127,30 @@ def _validate(mu: float, sigma: float) -> None:
 
 
 def mu_hat(mu: float) -> float:
-    """The large-sigma location parameter -Phi^{-1}(exp(-mu))."""
+    """The large-sigma location parameter -Phi^{-1}(exp(-mu)) = Phi^{-1}(1 - exp(-mu)).
+
+    Below mu = log 2 the tail probability 1 - exp(-mu) is taken as
+    -expm1(-mu), so mu_hat stays finite where exp(-mu) rounds to 1
+    (mu below ~1.1e-16); above it exp(-mu) is the small one, and
+    -expm1(-mu) would round to 1 (at mu = 700 it is 1).
+    """
     if not (math.isfinite(mu) and mu > 0.0):
         raise DomainError(f"mu must be positive and finite, got {mu}")
+    if mu < _LOG_2:
+        return inv_norm_cdf(-math.expm1(-mu))
     return -inv_norm_cdf(math.exp(-mu))
 
 
 def _seed(mu: float, sigma: float) -> float:
-    m = mu_hat(mu)
+    """The scalar solver's bracket centre: the large-sigma form or sigma/2 - mu/sigma.
+
+    It keeps its own -Phi^{-1}(exp(-mu)) rather than ``mu_hat``, and not
+    the array kernel's best-of-three seed, so that the bracket, and with
+    it the scalar W, stays bit-identical: an exact seed saves brentq
+    little, as it narrows the bracket in any case.  One censor algorithm
+    for both paths would merge the two rules.
+    """
+    m = -inv_norm_cdf(math.exp(-mu))
     if sigma > m + 2.0:
         return sigma - m - 1.0 / (sigma - m)
     return -mu / sigma + 0.5 * sigma
@@ -127,15 +158,30 @@ def _seed(mu: float, sigma: float) -> float:
 
 def solve_normal_censor(mu: float, sigma: float,
                         tol: float = DEFAULT_TOL) -> CensorSolution:
-    """Solve F(W, sigma) = exp(-mu) for the normal censor W."""
+    """Solve F(W, sigma) = exp(-mu) for the normal censor W.
+
+    The residual F - exp(-mu) cannot resolve 1 - F ~ mu where exp(-mu)
+    rounds to 1, so such a mu (below ~1.1e-16) raises a DomainError;
+    the array kernel, which works on log F + mu, solves it.
+    """
     _validate(mu, sigma)
     if not (0.0 < tol <= 1e-8):
         raise DomainError(f"tol must lie in (0, 1e-8], got {tol}")
 
     target = math.exp(-mu)
+    if target == 1.0:
+        raise DomainError(
+            f"mu = {mu} too small for the scalar solver: exp(-mu) rounds to 1")
+
+    # brentq re-evaluates the bracket ends and returns one of its points,
+    # so each F-value is kept for the polish below
+    seen: dict[float, float] = {}
 
     def g(w: float) -> float:
-        return censor_F(w, sigma) - target
+        r = seen.get(w)
+        if r is None:
+            r = seen[w] = censor_F(w, sigma) - target
+        return r
 
     # bracket by geometric expansion around the asymptotic seed
     w0 = _seed(mu, sigma)
@@ -163,19 +209,20 @@ def solve_normal_censor(mu: float, sigma: float,
     iterations = expansions + info.iterations
 
     # Newton polish on the F-residual down to the machine floor
-    residual = abs(censor_F(w, sigma) - target)
+    r = g(w)
+    residual = abs(r)
     for _ in range(6):
         if residual == 0.0:
             break
         deriv = _dF_dw(w, sigma)
         if deriv <= 0.0 or not math.isfinite(deriv):
             break
-        w_next = w - (censor_F(w, sigma) - target) / deriv
-        r_next = abs(censor_F(w_next, sigma) - target)
+        w_next = w - r / deriv
+        r_next = censor_F(w_next, sigma) - target
         iterations += 1
-        if r_next >= residual:
+        if abs(r_next) >= residual:
             break
-        w, residual = w_next, r_next
+        w, r, residual = w_next, r_next, abs(r_next)
     if residual > tol:
         raise ConvergenceError(
             f"censor residual {residual:.3e} above tol {tol:.3e} "
@@ -195,26 +242,67 @@ def solve_normal_censor(mu: float, sigma: float,
     )
 
 
-def _seed_array(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_seed`` elementwise, and the lower bound sigma/2 - mu/sigma on W.
+def _loss_inverse(y: np.ndarray) -> np.ndarray:
+    """w with psi(w) = y > 0, psi(w) = pdf(w) - w*(1 - Phi(w)) the normal loss function.
 
-    F(w, sigma) <= exp(sigma*w - sigma^2/2) for every w, since
-    Phi(w - sigma) is the integral of exp(sigma*t - sigma^2/2)*pdf(t) over
-    t < w; so log F <= -mu at the small-sigma form, which lies left of W.
+    psi decreases from +inf to 0 and is log-concave, as the integral of
+    1 - Phi.  psi(w) < pdf(w) for w > 0 and psi(w) < pdf(0) - w for w < 0,
+    so the start lies right of the root, and Newton on the concave
+    log psi descends to it monotonically.  With psi = (1 - Phi(w))*(H(w) - w),
+    log psi and its derivative -1/(H(w) - w) cost one log_ndtr and one
+    hazard; two steps are plenty for a seed.
     """
-    small = -mu / sigma + 0.5 * sigma
-    d = sigma + inv_norm_cdf(np.exp(-mu))  # sigma - mu_hat(mu)
-    with np.errstate(divide="ignore"):
-        return np.where(d > 2.0, d - 1.0 / d, small), small
+    w = np.where(y < INV_SQRT_2PI, np.sqrt(-2.0 * np.log(y * SQRT_2PI)),
+                 INV_SQRT_2PI - y)
+    for _ in range(2):
+        gap = hazard(w) - w
+        w = w + (log_norm_cdf_complement(w) + np.log(gap) - np.log(y)) * gap
+    return w
+
+
+def _seed_array(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Three starts for the kernel, stacked: a lower bound, the small- and the large-sigma form.
+
+    - sigma/2 - mu/sigma lies left of W: F(w, sigma) <= exp(sigma*w - sigma^2/2)
+      for every w, since Phi(w - sigma) is the integral of
+      exp(sigma*t - sigma^2/2)*pdf(t) over t < w, so log F <= -mu there.
+    - To second order in sigma, with psi the normal loss function,
+      1 - F(w, sigma) = sigma*psi(w) + sigma^2/2*(w*psi(w) + 1 - Phi(w)).
+      So W ~ w1 + sigma/2*(1 + w1*(H(w1) - w1)), where psi(w1) = (1 - exp(-mu))/sigma.
+    - W ~ d - 1/d with d = sigma - mu_hat(mu), where d > 1.
+
+    mu_hat is computed as in ``mu_hat``, through -expm1(-mu) below log 2.
+    """
+    lower = 0.5 * sigma - mu / sigma
+    tail = -np.expm1(-mu)
+    below = mu < _LOG_2
+    q = inv_norm_cdf(np.where(below, tail, np.exp(-mu)))
+    d = sigma - np.where(below, q, -q)
+    large = np.where(d > 1.0, d - 1.0 / d, lower)
+    first = _loss_inverse(tail / sigma)
+    small = first + 0.5 * sigma * (1.0 + first * (hazard(first) - first))
+    return np.stack([lower, small, large])
+
+
+def _newton_step(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
+    """h = log F(w, sigma) + mu and the Newton step -h/h' on it, elementwise."""
+    b = sigma * w - 0.5 * sigma * sigma + log_norm_cdf_complement(w)
+    log_f = np.logaddexp(log_norm_cdf(w - sigma), b)
+    h = log_f + mu
+    # h' = F_w / F = sigma * exp(b - log F); it underflows to 0 far out
+    # on the flat right of F, where the capped step takes over
+    return h, -h / (sigma * np.exp(b - log_f))
 
 
 def _censor_F_array(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """``censor_F`` elementwise, with the same overflow rewrite."""
     expo = sigma * w - 0.5 * sigma * sigma
-    # np.where evaluates both branches; the one not taken may overflow
+    rewrite = expo > _EXP_SWITCH
+    # each form overflows or divides by zero where the other is taken
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        second = np.where(expo > _EXP_SWITCH, norm_pdf(sigma - w) / hazard(w),
-                          np.exp(expo) * norm_cdf_complement(w))
+        second = np.exp(expo) * norm_cdf_complement(w)
+        if rewrite.any():
+            second = np.where(rewrite, norm_pdf(sigma - w) / hazard(w), second)
     return norm_cdf(w - sigma) + second
 
 
@@ -232,15 +320,22 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
     never overshoots.  From the right it lands left of the root, possibly
     far out where the tail of log Phi is quadratic and each step only
     halves the distance; that move is therefore capped, the cap doubling
-    each time it binds, and never goes below the lower bound of
-    ``_seed_array``.  An element stops once its step is within two ulps
-    of w, or once it crosses the root after having been left of it, which
-    only rounding can do.
+    each time it binds, and never goes below the largest point known to
+    lie left of the root.
+
+    The first pass evaluates h at the three starts of ``_seed_array`` and
+    keeps, per element, the one with the shortest Newton step.  An element
+    stops once h is 0, its step is within two ulps of w, or it crosses the
+    root after having been left of it, which only rounding can do; a left
+    step below _LAST_STEP * max(1, |w|) is taken as its last.  Every pass
+    steps the whole array and freezes the finished elements, and a pass
+    with every live element left of its root skips the right-side rules.
 
     Every element is validated as ``solve_normal_censor`` validates its
     input, and ``residual`` is the same F-residual, held to DEFAULT_TOL;
     errors name the offending element by its flat index.  ``iterations``
-    counts the h-evaluations of each element.
+    counts the passes that evaluated h at each element, the seed pass
+    included.
     """
     mu, sigma = np.broadcast_arrays(np.asarray(mu, dtype=float),
                                     np.asarray(sigma, dtype=float))
@@ -252,41 +347,54 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
             f"censor input {_element(mu, sigma, int(np.argmin(ok)))} outside "
             f"0 < mu <= {_MU_MAX:g}, 0 < sigma < inf")
 
-    w, lower = _seed_array(mu, sigma)
-    cap = np.maximum(0.5, 0.05 * np.abs(w))
-    was_left = np.zeros(w.shape, dtype=bool)
-    iterations = np.zeros(w.shape, dtype=np.int64)
-    live = np.arange(w.size)
-    for _ in range(MAX_ITER):
-        if live.size == 0:
-            break
-        wk, sk = w[live], sigma[live]
-        b = sk * wk - 0.5 * sk * sk + log_norm_cdf_complement(wk)
-        log_f = np.logaddexp(log_norm_cdf(wk - sk), b)
-        h = log_f + mu[live]
-        # h' = F_w / F = sigma * exp(b - log F); it underflows to 0 far out
-        # on the flat right of F, where the capped step takes over
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -h / (sk * np.exp(b - log_f))
-        right = h > 0.0
-        ck = cap[live]
-        capped = right & ~(step >= -ck)
-        step = np.where(capped, -ck, step)
-        cap[live] = np.where(capped, 2.0 * ck, ck)
-        lk = np.where(right, lower[live], wk)
-        lower[live] = lk
-        new = np.maximum(wk + step, lk)
-        crossed = right & was_left[live]
-        was_left[live] |= ~right
-        iterations[live] += 1
-        done = (h == 0.0) | crossed | (np.abs(new - wk) <= 2.0 * _EPS * np.abs(wk))
-        w[live] = np.where(done, wk, new)
-        live = live[~done]
-    if live.size:
-        raise ConvergenceError(
-            f"censor not converged in {MAX_ITER} steps at {_element(mu, sigma, live[0])}")
+    # the far tails overflow on the way, and a seed form is nan where it
+    # does not apply; a nan step never wins the selection
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        starts = _seed_array(mu, sigma)
+        h, step = _newton_step(starts, mu, sigma)
+        # every start with h <= 0 lies left of the root
+        lower = np.maximum(starts[0], np.where(h <= 0.0, starts, -math.inf).max(axis=0))
+        size = np.abs(step)
+        pick = (np.argmin(np.where(np.isnan(size), math.inf, size), axis=0), np.arange(mu.size))
+        w, h, step = starts[pick], h[pick], step[pick]
 
-    residual = np.abs(_censor_F_array(w, sigma) - np.exp(-mu))
+        cap = np.maximum(0.5, 0.05 * np.abs(w))
+        was_left = np.zeros(mu.size, dtype=bool)
+        live = np.ones(mu.size, dtype=bool)
+        iterations = np.ones(mu.size, dtype=np.int64)
+        for _ in range(MAX_ITER):
+            # h == 0 goes the careful way too: its step can be 0/0
+            right = live & (h >= 0.0)
+            if right.any():
+                capped = right & ~(step >= -cap)
+                step = np.where(capped, -cap, step)
+                cap = np.where(capped, 2.0 * cap, cap)
+                lower = np.where(right, lower, w)
+                new = np.maximum(w + step, lower)
+                done = ((right & was_left) | (h == 0.0)
+                        | (np.abs(new - w) <= 2.0 * _EPS * np.abs(w)))
+                last = ~right & (np.abs(step) <= _LAST_STEP * np.maximum(1.0, np.abs(w)))
+                w = np.where(live & ~done, new, w)
+                live &= ~(done | last)
+                was_left |= ~right
+            else:
+                # all strictly left of the root, where Newton climbs
+                # without overshooting: only the last-step test remains
+                lower = w
+                last = np.abs(step) <= _LAST_STEP * np.maximum(1.0, np.abs(w))
+                w = np.where(live, w + step, w)
+                live &= ~last
+                was_left |= live
+            if not live.any():
+                break
+            h, step = _newton_step(w, mu, sigma)
+            iterations += live
+        else:
+            raise ConvergenceError(
+                f"censor not converged in {MAX_ITER} steps at "
+                f"{_element(mu, sigma, int(np.argmax(live)))}")
+
+        residual = np.abs(_censor_F_array(w, sigma) - np.exp(-mu))
     if not (residual <= DEFAULT_TOL).all():
         i = int(np.argmin(residual <= DEFAULT_TOL))
         raise ConvergenceError(

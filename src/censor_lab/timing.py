@@ -4,9 +4,11 @@ The revenue over the unit interval is R(theta) = theta + (1 - theta) *
 g_bar(theta); the first-order condition is solved exactly by scanning
 R' = 1 - g_bar + (1 - theta) * g_bar' for its first sign change, in one
 call of the array censor kernel over the scan grid, and refining that
-bracket with scalar solves.  The two simplified closed-form cases
-(substitute profit models 1 + A*theta*exp(-alpha*theta) and
-exp(alpha*theta)) are exposed separately in terms of alpha alone.
+bracket by brentq on scalar solves.  The last of those solves also
+gives R(theta*), the FOC residual and R''(theta*), whose sign confirms
+the maximum, so no horizon is solved twice.  The two simplified
+closed-form cases (substitute profit models 1 + A*theta*exp(-alpha*theta)
+and exp(alpha*theta)) are exposed separately in terms of alpha alone.
 
 g_bar' has a closed form.  Differentiating F(W, sigma) = exp(-mu)
 implicitly gives the total derivatives of g(mu, sigma) along the censor,
@@ -19,7 +21,10 @@ cancel exactly.  By the chain rule along (mu_bar*theta, sigma_bar*sqrt(theta)),
     g_bar'(theta) = sigma_bar^2 * exp(sigma^2 - mu) * Phi(W + sigma)
                     - mu_bar * (g - u),
 
-so g_bar and g_bar' come from one censor solve.
+so g_bar and g_bar' come from one censor solve.  Differentiating once
+more, with sigma' = sigma/(2*theta) and W' = mu_bar*dW/dmu + sigma'*dW/dsigma
+from the implicit-function theorem (``statics``), gives g_bar'' and
+R'' = (1 - theta)*g_bar'' - 2*g_bar' from that same solve.
 """
 
 from __future__ import annotations
@@ -35,11 +40,11 @@ from .censor import solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
 from .profit import expected_profit, g_bar
-from .special import exp_or_inf, log_norm_cdf
+from .special import SQRT_2PI, exp_or_inf, log_norm_cdf
+from .statics import dw_dmu, dw_dsigma
 
 ENDPOINT_MARGIN = 1e-9
 SCAN_POINTS = 256
-LOCAL_MAX_PROBE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -58,11 +63,24 @@ def revenue(theta: float, params: ModelParams) -> float:
     return theta + (1.0 - theta) * g_bar(theta, params)
 
 
-def _g_bar_and_prime(theta, params: ModelParams):
-    """(g_bar(theta), g_bar'(theta)) from one censor solve, theta > 0.
+class _Horizon(NamedTuple):
+    """The censor at one horizon theta > 0, or at an array of them, and g_bar, g_bar' there."""
 
-    An array of thetas is solved by one call of the array censor kernel.
-    """
+    mu: float
+    sigma: float
+    w: float
+    u: float
+    g: float
+    growth: float  # exp(sigma^2 - mu) * Phi(W + sigma)
+    g_prime: float
+
+    def revenue_prime(self, theta):
+        """R'(theta) = 1 - g_bar + (1 - theta) * g_bar'."""
+        return 1.0 - self.g + (1.0 - theta) * self.g_prime
+
+
+def _horizon(theta, params: ModelParams) -> _Horizon:
+    """One censor solve at theta > 0; an array of thetas is one call of the array kernel."""
     if isinstance(theta, np.ndarray):
         mu, sigma = params.scaled(theta)
         sol = solve_normal_censor_array(mu, sigma)
@@ -72,7 +90,8 @@ def _g_bar_and_prime(theta, params: ModelParams):
         sol = solve_normal_censor(mu, sigma)
     g = expected_profit(mu, sigma, sol.w)
     growth = exp_or_inf(sigma * sigma - mu + log_norm_cdf(sol.w + sigma))
-    return g, params.sigma2_bar * growth - params.mu_bar * (g - sol.u)
+    return _Horizon(mu, sigma, sol.w, sol.u, g, growth,
+                    params.sigma2_bar * growth - params.mu_bar * (g - sol.u))
 
 
 def g_bar_prime(theta: float, params: ModelParams) -> float:
@@ -82,12 +101,36 @@ def g_bar_prime(theta: float, params: ModelParams) -> float:
     mu = mu_bar*theta, sigma = sigma_bar*sqrt(theta); the module docstring
     derives it.
     """
-    return _g_bar_and_prime(theta, params)[1]
+    return _horizon(theta, params).g_prime
 
 
-def _revenue_prime(theta: float, params: ModelParams) -> float:
-    g, gp = _g_bar_and_prime(theta, params)
-    return 1.0 - g + (1.0 - theta) * gp
+def _revenue_prime(theta, params: ModelParams):
+    return _horizon(theta, params).revenue_prime(theta)
+
+
+def _revenue_second(theta: float, params: ModelParams,
+                    at: _Horizon | None = None) -> float:
+    """R''(theta) = (1 - theta)*g_bar'' - 2*g_bar' for scalar theta > 0.
+
+    With A = exp(sigma^2 - mu)*Phi(W + sigma), sigma' = sigma/(2*theta) and
+    W' = mu_bar*dW/dmu + sigma'*dW/dsigma,
+
+        g_bar'' = sigma_bar^2*A' - mu_bar*(g_bar' - u'),
+        A' = (sigma_bar^2 - mu_bar)*A + exp(sigma^2 - mu)*pdf(W + sigma)*(W' + sigma'),
+        u' = -2*u*(sigma'*W + sigma*W' + mu_bar - sigma_bar^2/2).
+
+    ``at``, the solved horizon, saves the censor solve.
+    """
+    if at is None:
+        at = _horizon(theta, params)
+    mu, sigma, w = at.mu, at.sigma, at.w
+    mb, s2 = params.mu_bar, params.sigma2_bar
+    ds = sigma / (2.0 * theta)
+    dw = mb * dw_dmu(mu, sigma, w) + ds * dw_dsigma(mu, sigma, w)
+    da = ((s2 - mb) * at.growth
+          + exp_or_inf(sigma * sigma - mu - 0.5 * (w + sigma) ** 2) / SQRT_2PI * (dw + ds))
+    du = -2.0 * at.u * (ds * w + sigma * dw + mb - 0.5 * s2)
+    return (1.0 - theta) * (s2 * da - mb * (at.g_prime - du)) - 2.0 * at.g_prime
 
 
 def solve_foc(params: ModelParams, tol: float = 1e-6) -> TimingSolution:
@@ -106,27 +149,33 @@ def solve_foc(params: ModelParams, tol: float = 1e-6) -> TimingSolution:
             f"no sign change of R' on (0, 1) for {params}; "
             "a root is guaranteed for valid inputs")
 
+    # brentq returns one of the points it evaluated, so its solves are kept
+    solved: dict[float, _Horizon] = {}
+
+    def r_prime(theta: float) -> float:
+        solved[theta] = _horizon(theta, params)
+        return solved[theta].revenue_prime(theta)
+
     i = hits[0]
     if values[i] == 0.0:
         theta_star = float(grid[i])
     else:
-        theta_star = brentq(lambda t: _revenue_prime(t, params),
-                            float(grid[i]), float(grid[i + 1]), xtol=1e-12)
+        theta_star = brentq(r_prime, float(grid[i]), float(grid[i + 1]), xtol=1e-12)
+    at = solved.get(theta_star) or _horizon(theta_star, params)
 
-    r_star = revenue(theta_star, params)
-    lo_probe = max(theta_star - LOCAL_MAX_PROBE, 0.0)
-    hi_probe = min(theta_star + LOCAL_MAX_PROBE, 1.0)
-    if not (revenue(lo_probe, params) < r_star and revenue(hi_probe, params) < r_star):
+    r_second = _revenue_second(theta_star, params, at)
+    if not r_second < 0.0:
         raise ConvergenceError(
-            f"stationary point {theta_star} is not a local maximum of R")
+            f"stationary point {theta_star} is not a local maximum of R "
+            f"(R'' = {r_second:.3e})")
 
-    g, gp = _g_bar_and_prime(theta_star, params)
-    residual = abs((g - 1.0) / gp - (1.0 - theta_star))
+    residual = abs((at.g - 1.0) / at.g_prime - (1.0 - theta_star))
     if residual > tol:
         raise ConvergenceError(
             f"FOC residual {residual:.3e} above tol {tol:.3e} at theta={theta_star}")
 
-    return TimingSolution(theta_star=theta_star, r_value=r_star,
+    return TimingSolution(theta_star=theta_star,
+                          r_value=theta_star + (1.0 - theta_star) * at.g,
                           foc_residual=residual, branch="exact",
                           is_smallest_root=True)
 

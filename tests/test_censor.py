@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import log_ndtr
 
+from censor_lab import censor as censor_module
 from censor_lab.censor import (
     censor_F,
     censor_price,
@@ -26,7 +28,7 @@ from censor_lab.censor import (
 )
 from censor_lab.errors import DomainError
 from censor_lab.model import ModelParams
-from censor_lab.special import norm_cdf, norm_cdf_complement
+from censor_lab.special import inv_norm_cdf, norm_cdf, norm_cdf_complement
 
 MU_GRID = np.geomspace(1e-3, 5.0, 9)
 SIGMA_GRID = np.geomspace(1e-3, 50.0, 11)
@@ -254,3 +256,87 @@ class TestArrayKernel:
         with pytest.raises(DomainError, match=r"element 2 \(mu=%r, sigma=%r\)"
                            % (mu, sigma)):
             solve_normal_censor_array(mus, sigmas)
+
+
+def _old_polish_solve(mu, sigma):
+    """The scalar solve with its former polish, which re-evaluated F at each iterate.
+
+    The oracle for the scalar solver: bracket, brentq and the polish as
+    they stood, through the module's ``censor_F`` so its calls are counted.
+    """
+    target = math.exp(-mu)
+
+    def g(w):
+        return censor_module.censor_F(w, sigma) - target
+
+    w0 = censor_module._seed(mu, sigma)
+    step = max(0.5, 0.05 * abs(w0))
+    lo, hi = w0 - step, w0 + step
+    glo, ghi = g(lo), g(hi)
+    while glo > 0.0:
+        step *= 2.0
+        lo -= step
+        glo = g(lo)
+    while ghi < 0.0:
+        step *= 2.0
+        hi += step
+        ghi = g(hi)
+    w = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=censor_module.MAX_ITER)
+    residual = abs(g(w))
+    for _ in range(6):
+        if residual == 0.0:
+            break
+        deriv = censor_module._dF_dw(w, sigma)
+        if deriv <= 0.0 or not math.isfinite(deriv):
+            break
+        w_next = w - g(w) / deriv
+        r_next = abs(g(w_next))
+        if r_next >= residual:
+            break
+        w, residual = w_next, r_next
+    return w, max(sigma * w + mu - 0.5 * sigma * sigma, 0.0), residual
+
+
+class TestScalarEvaluations:
+    def test_bit_identical_to_old_polish_with_fewer_F_calls(self, monkeypatch):
+        calls = []
+        f = censor_module.censor_F
+
+        def counting(w, sigma):
+            calls.append(w)
+            return f(w, sigma)
+
+        monkeypatch.setattr(censor_module, "censor_F", counting)
+        mu, sigma = _domain_sample()
+        old_calls = new_calls = 0
+        for m, s in zip(mu.tolist(), sigma.tolist()):
+            calls.clear()
+            want = _old_polish_solve(m, s)
+            old_calls += len(calls)
+            calls.clear()
+            sol = solve_normal_censor(m, s)
+            new_calls += len(calls)
+            assert (sol.w, sol.log_b_tilde, sol.residual) == want, (m, s)
+        # brentq's two bracket ends, its root and one F per polish step
+        assert new_calls <= old_calls - 3 * mu.size
+
+
+class TestTinyDrift:
+    # W at (1e-17, 0.3) from 50-digit mpmath, as the root of log F + mu
+    W_TINY = 8.39446650573081
+
+    def test_mu_hat_finite_where_exp_rounds_to_one(self):
+        assert math.exp(-1e-17) == 1.0
+        # Phi^{-1}(1e-17) from 50-digit mpmath
+        assert mu_hat(1e-17) == pytest.approx(-8.493793224109598, rel=1e-13)
+        # the complement form would round to 1 at the top of the domain
+        assert mu_hat(700.0) == -inv_norm_cdf(math.exp(-700.0))
+
+    def test_kernel_solves_tiny_drift(self):
+        sol = solve_normal_censor_array(np.array([1e-17, 0.05]), 0.3)
+        assert sol.w[0] == pytest.approx(self.W_TINY, rel=1e-14)
+        assert sol.w[1] == pytest.approx(solve_normal_censor(0.05, 0.3).w, rel=1e-14)
+
+    def test_scalar_solver_names_tiny_drift(self):
+        with pytest.raises(DomainError, match=r"mu = 1e-17 .*rounds to 1"):
+            solve_normal_censor(1e-17, 0.3)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from censor_lab import statics as statics_module
+from censor_lab import timing as timing_module
 from censor_lab.censor import solve_normal_censor, solve_normal_censor_array
 from censor_lab.errors import ConvergenceError, DomainError
 from censor_lab.model import ModelParams, ScaledParams
@@ -297,3 +298,24 @@ class TestShapeCheck:
             censor_shape_check(p, theta_min=1.0, theta_max=0.1)
         with pytest.raises(DomainError):
             censor_shape_check(p, points=4)
+
+
+# one (mu_bar, sigma2_bar) per regime: low, mid, critical and high variance
+REGIME_PARAMS = [(0.05, 0.03), (0.05, 0.07), (0.05, 0.1), (0.05, 0.15)]
+
+
+class TestKernelPasses:
+    @pytest.mark.parametrize("mu_bar,sigma2_bar", REGIME_PARAMS)
+    def test_few_passes_on_the_horizon_grids(self, mu_bar, sigma2_bar):
+        # the seed is within Newton's quadratic range over both grids; the
+        # small-sigma seed without its second-order term averages 3.8-4.6 passes
+        params = ModelParams.from_variance(mu_bar, sigma2_bar)
+        lo, hi = timing_module.ENDPOINT_MARGIN, 1.0 - timing_module.ENDPOINT_MARGIN
+        scan = lo + (hi - lo) * np.arange(timing_module.SCAN_POINTS) / (
+            timing_module.SCAN_POINTS - 1)
+        passes = []
+        for thetas in (np.geomspace(1e-3, 1e3, 400), scan):
+            sol = solve_normal_censor_array(*params.scaled(thetas))
+            assert sol.iterations.max() <= 10
+            passes.append(sol.iterations)
+        assert np.concatenate(passes).mean() <= 3.5

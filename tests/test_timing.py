@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import brentq
 
 from censor_lab import profit as profit_module
+from censor_lab import statics as statics_module
 from censor_lab import timing as timing_module
 from censor_lab.censor import solve_normal_censor, solve_normal_censor_array
 from censor_lab.errors import DomainError
@@ -208,3 +209,35 @@ class TestCaseII:
         for a in (0.0, -0.3, math.nan):
             with pytest.raises(DomainError):
                 theta_case_ii(a)
+
+
+class TestNoReSolves:
+    def test_few_scalar_solves(self, monkeypatch):
+        scalar = []
+
+        def counting(*args, **kwargs):
+            scalar.append(args)
+            return solve_normal_censor(*args, **kwargs)
+
+        for mod in (timing_module, profit_module, statics_module):
+            monkeypatch.setattr(mod, "solve_normal_censor", counting)
+        solve_foc(ModelParams.from_variance(0.05, 0.07))
+        # brentq's bracket ends and iterates; its root is not solved again
+        assert len(scalar) <= 7
+        assert len(set(scalar)) == len(scalar)
+
+    @pytest.mark.parametrize("s2", VARIANCES)
+    @pytest.mark.parametrize("theta", [0.05, 0.3, 0.5, 0.9])
+    def test_curvature_matches_central_difference(self, s2, theta):
+        # the oracle: R'' = (1 - theta)*g_bar'' - 2*g_bar', with g_bar''
+        # the central difference of the closed-form g_bar'
+        p = make_params(s2)
+        h = 1e-4 * theta
+        g2 = (g_bar_prime(theta + h, p) - g_bar_prime(theta - h, p)) / (2.0 * h)
+        want = (1.0 - theta) * g2 - 2.0 * g_bar_prime(theta, p)
+        assert timing_module._revenue_second(theta, p) == pytest.approx(want, rel=1e-7)
+
+    @pytest.mark.parametrize("s2", VARIANCES)
+    def test_maximum_has_negative_curvature(self, s2):
+        p = make_params(s2)
+        assert timing_module._revenue_second(solve_foc(p).theta_star, p) < 0.0
