@@ -55,6 +55,8 @@ _EXP_SWITCH = 50.0
 
 # exp(-mu) must not underflow for the root to be meaningful
 _MU_MAX = 700.0
+# the array kernel's h = log F + mu must not be subnormal
+_MU_MIN = float(np.finfo(float).tiny)
 
 _EPS = float(np.finfo(float).eps)
 _LOG_2 = math.log(2.0)
@@ -291,7 +293,8 @@ def _newton_step(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
     h = log_f + mu
     # h' = F_w / F = sigma * exp(b - log F); it underflows to 0 far out
     # on the flat right of F, where the capped step takes over
-    return h, -h / (sigma * np.exp(b - log_f))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return h, -h / (sigma * np.exp(b - log_f))
 
 
 def _censor_F_array(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -328,11 +331,13 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
     stops once h is 0, its step is within two ulps of w, or it crosses the
     root after having been left of it, which only rounding can do; a left
     step below _LAST_STEP * max(1, |w|) is taken as its last.  Every pass
-    steps the whole array and freezes the finished elements, and a pass
-    with every live element left of its root skips the right-side rules.
+    steps the whole array and freezes the finished elements.
 
     Every element is validated as ``solve_normal_censor`` validates its
-    input, and ``residual`` is the same F-residual, held to DEFAULT_TOL;
+    input, except that mu may go below ~1.1e-16, where exp(-mu) rounds to
+    1, down to the smallest normal float: below that h sits at the
+    subnormal floor, its derivative loses its digits and Newton cannot
+    reach W.  ``residual`` is the same F-residual, held to DEFAULT_TOL;
     errors name the offending element by its flat index.  ``iterations``
     counts the passes that evaluated h at each element, the seed pass
     included.
@@ -341,11 +346,11 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
                                     np.asarray(sigma, dtype=float))
     shape = mu.shape
     mu, sigma = mu.ravel(), sigma.ravel()
-    ok = (mu > 0.0) & (mu <= _MU_MAX) & (sigma > 0.0) & (sigma < math.inf)
+    ok = (mu >= _MU_MIN) & (mu <= _MU_MAX) & (sigma > 0.0) & (sigma < math.inf)
     if not ok.all():
         raise DomainError(
             f"censor input {_element(mu, sigma, int(np.argmin(ok)))} outside "
-            f"0 < mu <= {_MU_MAX:g}, 0 < sigma < inf")
+            f"{_MU_MIN:.4g} <= mu <= {_MU_MAX:g}, 0 < sigma < inf")
 
     # the far tails overflow on the way, and a seed form is nan where it
     # does not apply; a nan step never wins the selection
@@ -356,45 +361,36 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
         lower = np.maximum(starts[0], np.where(h <= 0.0, starts, -math.inf).max(axis=0))
         size = np.abs(step)
         pick = (np.argmin(np.where(np.isnan(size), math.inf, size), axis=0), np.arange(mu.size))
-        w, h, step = starts[pick], h[pick], step[pick]
+    w, h, step = starts[pick], h[pick], step[pick]
 
-        cap = np.maximum(0.5, 0.05 * np.abs(w))
-        was_left = np.zeros(mu.size, dtype=bool)
-        live = np.ones(mu.size, dtype=bool)
-        iterations = np.ones(mu.size, dtype=np.int64)
-        for _ in range(MAX_ITER):
-            # h == 0 goes the careful way too: its step can be 0/0
-            right = live & (h >= 0.0)
-            if right.any():
-                capped = right & ~(step >= -cap)
-                step = np.where(capped, -cap, step)
-                cap = np.where(capped, 2.0 * cap, cap)
-                lower = np.where(right, lower, w)
-                new = np.maximum(w + step, lower)
-                done = ((right & was_left) | (h == 0.0)
-                        | (np.abs(new - w) <= 2.0 * _EPS * np.abs(w)))
-                last = ~right & (np.abs(step) <= _LAST_STEP * np.maximum(1.0, np.abs(w)))
-                w = np.where(live & ~done, new, w)
-                live &= ~(done | last)
-                was_left |= ~right
-            else:
-                # all strictly left of the root, where Newton climbs
-                # without overshooting: only the last-step test remains
-                lower = w
-                last = np.abs(step) <= _LAST_STEP * np.maximum(1.0, np.abs(w))
-                w = np.where(live, w + step, w)
-                live &= ~last
-                was_left |= live
-            if not live.any():
-                break
-            h, step = _newton_step(w, mu, sigma)
-            iterations += live
-        else:
-            raise ConvergenceError(
-                f"censor not converged in {MAX_ITER} steps at "
-                f"{_element(mu, sigma, int(np.argmax(live)))}")
+    cap = np.maximum(0.5, 0.05 * np.abs(w))
+    was_left = np.zeros(mu.size, dtype=bool)
+    live = np.ones(mu.size, dtype=bool)
+    iterations = np.ones(mu.size, dtype=np.int64)
+    for _ in range(MAX_ITER):
+        # h == 0 goes the careful way too: its step can be 0/0
+        right = live & (h >= 0.0)
+        capped = right & ~(step >= -cap)
+        step = np.where(capped, -cap, step)
+        cap = np.where(capped, 2.0 * cap, cap)
+        lower = np.where(right, lower, w)
+        new = np.maximum(w + step, lower)
+        done = ((right & was_left) | (h == 0.0)
+                | (np.abs(new - w) <= 2.0 * _EPS * np.abs(w)))
+        last = ~right & (np.abs(step) <= _LAST_STEP * np.maximum(1.0, np.abs(w)))
+        w = np.where(live & ~done, new, w)
+        live &= ~(done | last)
+        was_left |= ~right
+        if not live.any():
+            break
+        h, step = _newton_step(w, mu, sigma)
+        iterations += live
+    else:
+        raise ConvergenceError(
+            f"censor not converged in {MAX_ITER} steps at "
+            f"{_element(mu, sigma, int(np.argmax(live)))}")
 
-        residual = np.abs(_censor_F_array(w, sigma) - np.exp(-mu))
+    residual = np.abs(_censor_F_array(w, sigma) - np.exp(-mu))
     if not (residual <= DEFAULT_TOL).all():
         i = int(np.argmin(residual <= DEFAULT_TOL))
         raise ConvergenceError(

@@ -22,39 +22,34 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .censor import MAX_ITER, log_censor_F, solve_normal_censor, solve_normal_censor_array
+from .censor import log_censor_F, solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams
 from .special import (SQRT_2PI, exp_or_inf, hazard, log_norm_cdf,
                       log_norm_cdf_complement)
-
-# the stationarity solve stops once its Newton step, or its bracket, is this narrow
-_STATIONARITY_XTOL = 1e-12
 
 
 def _w(mu: float, sigma: float) -> float:
     return solve_normal_censor(mu, sigma).w
 
 
-def dw_dmu(mu: float, sigma: float, w: float | None = None) -> float:
-    """dW/dmu = -exp(-mu)/F_w, F_w = sigma*exp(sigma*W - sigma^2/2)*(1 - Phi(W)).
-
-    A solved censor ``w`` saves the solve.
-    """
-    if w is None:
-        w = _w(mu, sigma)
+def _dw_dmu_at(mu: float, sigma: float, w: float) -> float:
     return -exp_or_inf(-mu - math.log(sigma) - sigma * w + 0.5 * sigma * sigma
                        - log_norm_cdf_complement(w))
 
 
-def dw_dsigma(mu: float, sigma: float, w: float | None = None) -> float:
-    """dW/dsigma = (H(W) - W + sigma)/sigma, with H the normal hazard rate.
-
-    A solved censor ``w`` saves the solve.
-    """
-    if w is None:
-        w = _w(mu, sigma)
+def _dw_dsigma_at(mu: float, sigma: float, w: float) -> float:
     return (hazard(w) - w + sigma) / sigma
+
+
+def dw_dmu(mu: float, sigma: float) -> float:
+    """dW/dmu = -exp(-mu)/F_w, F_w = sigma*exp(sigma*W - sigma^2/2)*(1 - Phi(W))."""
+    return _dw_dmu_at(mu, sigma, _w(mu, sigma))
+
+
+def dw_dsigma(mu: float, sigma: float) -> float:
+    """dW/dsigma = (H(W) - W + sigma)/sigma, with H the normal hazard rate."""
+    return _dw_dsigma_at(mu, sigma, _w(mu, sigma))
 
 
 def _log_b_difference(mu: float, sigma: float, h_mu: float, h_sigma: float) -> float:
@@ -140,13 +135,12 @@ def stationarity_solve(kappa: float | None = None,
                        params: ModelParams | None = None) -> StationaritySolution:
     """Solve mu = sigma*H(sigma - W(mu, sigma))/2 jointly with mu = kappa*sigma^2.
 
-    mu is eliminated through the parabola constraint, and the single
-    remaining equation f(sigma) = 0 is bracketed between (widened
-    versions of) the crude under- and over-estimates, then solved by
-    Newton's method kept inside the bracket: f' comes in closed form
-    from the same censor solve as f, through dW/dmu and dW/dsigma.
-    No solution exists for kappa < 1/2.  At the boundary kappa == 1/2
-    the stationary point recedes to infinity: sigma*(kappa) diverges as
+    mu is eliminated through the parabola constraint and the single
+    remaining equation in sigma is bisected between (widened versions
+    of) the crude under- and over-estimates; each sigma is solved once,
+    the bracket ends and the residual at sigma_star included.  No
+    solution exists for kappa < 1/2.  At the boundary kappa == 1/2 the
+    stationary point recedes to infinity: sigma*(kappa) diverges as
     kappa -> 1/2+ (the residual plateaus at (1 - log 2)/2 > 0, since
     sigma*W -> log 2 there), so the solution is reported as existing but
     with sigma_star None.  When params is supplied the censor-maximizing
@@ -166,30 +160,22 @@ def stationarity_solve(kappa: float | None = None,
         return StationaritySolution(kappa=kappa, sigma_star=None, mu_star=None,
                                     theta_star_b=None, exists=True)
 
-    def f(sigma: float) -> tuple[float, float]:
-        """f(sigma) = sigma*H(x)/2 - mu at x = sigma - W, mu = kappa*sigma^2, and a Newton step.
+    # brentq re-evaluates the bracket ends and returns one of its points,
+    # so each value is kept
+    seen: dict[float, float] = {}
 
-        The step is Newton's on log(sigma*H(x)/2) - log(mu), which has the
-        sign of f, taken in log sigma, where it is nearly linear.  Its
-        derivative sigma*(H(x) - x)*dx/dsigma - 1 comes from the same
-        censor solve: H'(x) = H(x)*(H(x) - x), and W moves with sigma by
-        dW/dsigma + 2*kappa*sigma*dW/dmu along the parabola.  The log step
-        is capped at 1; the caller keeps the step inside the bracket.
-        """
-        mu = kappa * sigma * sigma
-        w = solve_normal_censor(mu, sigma).w
-        x = sigma - w
-        h = hazard(x)
-        dx = 1.0 - dw_dsigma(mu, sigma, w) - 2.0 * kappa * sigma * dw_dmu(mu, sigma, w)
-        q = math.log(h / (2.0 * kappa * sigma))
-        dq = sigma * (h - x) * dx - 1.0
-        log_step = -q / dq if dq != 0.0 else math.copysign(math.inf, q)
-        return 0.5 * sigma * h - mu, sigma * math.expm1(min(log_step, 1.0))
+    def f(sigma: float) -> float:
+        r = seen.get(sigma)
+        if r is None:
+            mu = kappa * sigma * sigma
+            w = solve_normal_censor(mu, sigma).w
+            r = seen[sigma] = 0.5 * sigma * hazard(sigma - w) - mu
+        return r
 
     lo = 0.5 / (kappa * SQRT_2PI)
     flo = f(lo)
     shrink = 0
-    while flo[0] <= 0.0:
+    while flo <= 0.0:
         lo *= 0.5
         flo = f(lo)
         shrink += 1
@@ -199,38 +185,20 @@ def stationarity_solve(kappa: float | None = None,
     hi = 2.0 * math.sqrt(1.0 / (2.0 * kappa - 1.0))
     sigma_cap = math.sqrt(650.0 / kappa)  # keeps mu = kappa*sigma^2 solvable
     hi = min(hi, sigma_cap)
-    fhi = f(hi)
-    while fhi[0] >= 0.0:
+    while f(hi) >= 0.0:
         if hi >= sigma_cap:
             raise ConvergenceError(
                 f"stationary point for kappa={kappa} lies beyond the solvable "
                 f"drift range (sigma > {sigma_cap:.3g}); kappa is too close to 1/2")
-        lo, flo = hi, fhi
         hi = min(2.0 * hi, sigma_cap)
-        fhi = f(hi)
 
-    # Newton from the end with the shorter step; a step that leaves the
-    # bracket bisects it instead
-    sigma, (value, step) = min((lo, flo), (hi, fhi), key=lambda p: abs(p[1][1]))
-    for _ in range(MAX_ITER):
-        if abs(step) <= _STATIONARITY_XTOL or value == 0.0:
-            break
-        sigma = sigma + step if lo < sigma + step < hi else 0.5 * (lo + hi)
-        value, step = f(sigma)
-        if value > 0.0:
-            lo = sigma
-        else:
-            hi = sigma
-        if hi - lo <= _STATIONARITY_XTOL:
-            break
-    else:
-        raise ConvergenceError(f"stationarity Newton did not converge for kappa={kappa}")
-
-    mu_star = kappa * sigma * sigma
+    sigma_star = brentq(f, lo, hi, xtol=1e-12)
+    mu_star = kappa * sigma_star * sigma_star
+    residual = abs(f(sigma_star))
     theta = mu_star / params.mu_bar if params is not None else None
-    return StationaritySolution(kappa=kappa, sigma_star=sigma,
+    return StationaritySolution(kappa=kappa, sigma_star=sigma_star,
                                 mu_star=mu_star, theta_star_b=theta,
-                                exists=True, residual=abs(value))
+                                exists=True, residual=residual)
 
 
 @dataclass(frozen=True)

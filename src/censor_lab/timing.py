@@ -41,7 +41,7 @@ from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
 from .profit import expected_profit, g_bar
 from .special import SQRT_2PI, exp_or_inf, log_norm_cdf
-from .statics import dw_dmu, dw_dsigma
+from .statics import _dw_dmu_at, _dw_dsigma_at
 
 ENDPOINT_MARGIN = 1e-9
 SCAN_POINTS = 256
@@ -108,8 +108,7 @@ def _revenue_prime(theta, params: ModelParams):
     return _horizon(theta, params).revenue_prime(theta)
 
 
-def _revenue_second(theta: float, params: ModelParams,
-                    at: _Horizon | None = None) -> float:
+def _revenue_second(theta: float, params: ModelParams, at: _Horizon) -> float:
     """R''(theta) = (1 - theta)*g_bar'' - 2*g_bar' for scalar theta > 0.
 
     With A = exp(sigma^2 - mu)*Phi(W + sigma), sigma' = sigma/(2*theta) and
@@ -119,14 +118,12 @@ def _revenue_second(theta: float, params: ModelParams,
         A' = (sigma_bar^2 - mu_bar)*A + exp(sigma^2 - mu)*pdf(W + sigma)*(W' + sigma'),
         u' = -2*u*(sigma'*W + sigma*W' + mu_bar - sigma_bar^2/2).
 
-    ``at``, the solved horizon, saves the censor solve.
+    ``at`` is the solved horizon at theta.
     """
-    if at is None:
-        at = _horizon(theta, params)
     mu, sigma, w = at.mu, at.sigma, at.w
     mb, s2 = params.mu_bar, params.sigma2_bar
     ds = sigma / (2.0 * theta)
-    dw = mb * dw_dmu(mu, sigma, w) + ds * dw_dsigma(mu, sigma, w)
+    dw = mb * _dw_dmu_at(mu, sigma, w) + ds * _dw_dsigma_at(mu, sigma, w)
     da = ((s2 - mb) * at.growth
           + exp_or_inf(sigma * sigma - mu - 0.5 * (w + sigma) ** 2) / SQRT_2PI * (dw + ds))
     du = -2.0 * at.u * (ds * w + sigma * dw + mb - 0.5 * s2)

@@ -340,3 +340,17 @@ class TestTinyDrift:
     def test_scalar_solver_names_tiny_drift(self):
         with pytest.raises(DomainError, match=r"mu = 1e-17 .*rounds to 1"):
             solve_normal_censor(1e-17, 0.3)
+
+    @pytest.mark.parametrize("mu", [5e-324, 1e-315, 1e-310])
+    def test_kernel_rejects_subnormal_drift(self, mu):
+        # there h = log F + mu is subnormal and Newton cannot resolve W:
+        # the element is refused up front, not after MAX_ITER passes
+        mus = np.array([0.05, 0.5, mu, 1.0])
+        with pytest.raises(DomainError, match=r"element 2 \(mu=%r, sigma=0.3\)" % mu):
+            solve_normal_censor_array(mus, 0.3)
+
+    def test_kernel_solves_smallest_normal_drift(self):
+        sigmas = np.array([1e-6, 1e-3, 1.0, 1e3])
+        sol = solve_normal_censor_array(float(np.finfo(float).tiny), sigmas)
+        assert (sol.iterations <= 6).all()
+        assert (sol.residual <= 1e-12).all()

@@ -235,9 +235,12 @@ class TestNoReSolves:
         h = 1e-4 * theta
         g2 = (g_bar_prime(theta + h, p) - g_bar_prime(theta - h, p)) / (2.0 * h)
         want = (1.0 - theta) * g2 - 2.0 * g_bar_prime(theta, p)
-        assert timing_module._revenue_second(theta, p) == pytest.approx(want, rel=1e-7)
+        at = timing_module._horizon(theta, p)
+        assert timing_module._revenue_second(theta, p, at) == pytest.approx(want, rel=1e-7)
 
     @pytest.mark.parametrize("s2", VARIANCES)
     def test_maximum_has_negative_curvature(self, s2):
         p = make_params(s2)
-        assert timing_module._revenue_second(solve_foc(p).theta_star, p) < 0.0
+        theta = solve_foc(p).theta_star
+        at = timing_module._horizon(theta, p)
+        assert timing_module._revenue_second(theta, p, at) < 0.0
