@@ -206,9 +206,13 @@ def solve_normal_censor(mu: float, sigma: float,
         if expansions > MAX_ITER:
             raise ConvergenceError(f"no upper bracket for (mu={mu}, sigma={sigma})")
 
-    w, info = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16,
-                     maxiter=MAX_ITER, full_output=True)
-    iterations = expansions + info.iterations
+    if glo == 0.0 or ghi == 0.0:
+        # brentq would return this end too, but with its iteration count unset
+        w, iterations = (lo if glo == 0.0 else hi), expansions
+    else:
+        w, info = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16,
+                         maxiter=MAX_ITER, full_output=True)
+        iterations = expansions + info.iterations
 
     # Newton polish on the F-residual down to the machine floor
     r = g(w)

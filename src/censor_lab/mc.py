@@ -10,11 +10,14 @@ search over u on that objective, evaluated with prefix sums over the
 sorted quadrature nodes in O(N log N) rather than on a dense u x node
 grid.
 
-The estimators take their moments about the first sample value, so a
-constant (fully censored) sample has a mean equal to that value and a
-standard error of exactly 0.0.  The price stream is untouched by this;
-against a plain mean/std the estimates move only at the 1e-16 relative
-level.
+The sample streams through fixed blocks of 2**16 values, each taken
+from raw Philox words to uniforms, ndtri normals and prices in one
+reused buffers; `run_verification` folds each block into the running
+sums of both estimators, so it needs O(block) memory for any n.
+Moments are taken about the first value, so a constant (fully censored)
+sample has mean equal to it and standard error exactly 0.0.
+`sample_prices` and the estimators on a materialized sample use the
+same blocks and match the stream bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .profit import expected_profit
 from .special import inv_norm_cdf
 
 DEFAULT_SE_MULTIPLIER = 3.0
+# values per block of the sample stream: 512 KiB of doubles, cache-sized
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,53 +66,92 @@ class McEstimate:
         return abs(self.mean - reference) / self.std_error
 
 
-def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
-    # 53-bit integers shifted by half a lattice cell: strictly inside (0, 1)
-    return (rng.integers(0, 1 << 53, size=n, dtype=np.int64) + 0.5) / float(1 << 53)
+def _price_blocks(scaled: ScaledParams, n: int, seed: int):
+    """The n prices exp(nu + sigma * z) in blocks of _BLOCK, each a view of one reused buffer."""
+    bitgen = np.random.Philox(key=seed)
+    u, z = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - start)
+        # the top 53 bits of each raw word, as Generator.integers(0, 2**53) takes
+        # them, shifted half a lattice cell: strictly inside (0, 1)
+        raw = bitgen.random_raw(k)
+        raw >>= 11
+        p = np.add(raw.view(np.int64), 0.5, out=u[:k])
+        del raw
+        p *= 2.0 ** -53
+        x = inv_norm_cdf(p, out=z[:k])
+        x *= scaled.sigma
+        x += scaled.nu
+        yield np.exp(x, out=x)
 
 
 def sample_prices(scaled: ScaledParams, n: int, seed: int) -> PriceSample:
     """Deterministic lognormal sample for the given seed."""
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    # exp(nu + sigma * z), evaluated in place on the quantile array
-    z = inv_norm_cdf(_uniform_open(rng, n))
-    z *= scaled.sigma
-    z += scaled.nu
-    np.exp(z, out=z)
-    return PriceSample(values=z, seed=seed, n=n)
+    values = np.empty(n)
+    for start, block in zip(range(0, n, _BLOCK), _price_blocks(scaled, n, seed)):
+        values[start:start + block.size] = block
+    return PriceSample(values=values, seed=seed, n=n)
+
+
+def _blocks(x: np.ndarray):
+    return (x[start:start + _BLOCK] for start in range(0, x.size, _BLOCK))
+
+
+class _Moments:
+    """Count, first value ref and the sums of d and d**2, d = x - ref, over blocks fed."""
+
+    def __init__(self):
+        self.n, self.ref, self.s1, self.s2 = 0, 0.0, 0.0, 0.0
+
+    def add(self, d: np.ndarray) -> None:
+        """Feed one block; d is scratch and is overwritten."""
+        if self.n == 0:
+            self.ref = float(d[0])
+        d -= self.ref
+        self.s1 += float(np.sum(d))
+        self.s2 += float(np.sum(np.square(d, out=d)))
+        self.n += d.size
+
+    def estimate(self) -> McEstimate:
+        n, s1 = self.n, self.s1
+        var = max(self.s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
+        return McEstimate(mean=self.ref + s1 / n, std_error=math.sqrt(var) / math.sqrt(n), n=n)
 
 
 def _estimate(x: np.ndarray) -> McEstimate:
     """Mean and standard error of x; x is a scratch array and is overwritten."""
-    n = x.size
-    # Moments about a sample value: a constant sample then has exactly zero
-    # deviations, so mean == ref and std_error == 0.0 with no rounding left
-    # over from the summation order of np.mean.  The two-pass variance is
-    # done in place, so no temporary of the sample's size is allocated.
-    ref = float(x[0])
-    x -= ref
-    shift = float(np.mean(x))
-    x -= shift
-    np.square(x, out=x)
-    se = math.sqrt(float(np.sum(x)) / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-    return McEstimate(mean=ref + shift, std_error=se, n=n)
+    acc = _Moments()
+    for block in _blocks(x):
+        acc.add(block)
+    return acc.estimate()
+
+
+def _censored_estimates(blocks, b_tilde: float, profit: bool = True):
+    """Estimates of E[min(b, b_tilde)] and, if `profit`, E[1 / min(b, b_tilde)] over blocks of b."""
+    mart, prof = _Moments(), _Moments()
+    m, r = np.empty(_BLOCK), np.empty(_BLOCK)
+    for b in blocks:
+        mk = np.minimum(b, b_tilde, out=m[:b.size])
+        if profit:
+            prof.add(np.reciprocal(mk, out=r[:b.size]))
+        mart.add(mk)
+    return mart.estimate(), prof.estimate() if profit else None
 
 
 def mc_censored_mean(sample: PriceSample, beta: float) -> McEstimate:
     """Estimate of E[min(b, beta)]; beta = +inf leaves the sample uncensored."""
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    return _estimate(np.minimum(sample.values, beta))
+    return _censored_estimates(_blocks(sample.values), beta, profit=False)[0]
 
 
 def mc_expected_profit(sample: PriceSample, b_tilde: float) -> McEstimate:
     """Estimate of E[1 / min(b, b_tilde)]; b_tilde = +inf gives the myopic profit."""
     if not b_tilde > 0.0:
         raise DomainError(f"b_tilde must be positive, got {b_tilde}")
-    m = np.minimum(sample.values, b_tilde)
-    return _estimate(np.reciprocal(m, out=m))
+    return _censored_estimates(_blocks(sample.values), b_tilde)[1]
 
 
 def mc_martingale_check(scaled: ScaledParams, n: int, seed: int) -> McEstimate:
@@ -115,7 +159,7 @@ def mc_martingale_check(scaled: ScaledParams, n: int, seed: int) -> McEstimate:
     if n < 10_000:
         raise DomainError(f"n must be at least 10^4, got {n}")
     beta = censor_price(scaled.mu, scaled.sigma)
-    return mc_censored_mean(sample_prices(scaled, n, seed), beta)
+    return _censored_estimates(_price_blocks(scaled, n, seed), beta, profit=False)[0]
 
 
 class BruteForceResult(NamedTuple):
@@ -198,10 +242,10 @@ class VerificationReport:
 def run_verification(scaled: ScaledParams, n: int, seed: int,
                      se_multiplier: float = DEFAULT_SE_MULTIPLIER) -> VerificationReport:
     """Martingale, profit and brute-force cross-checks in one pass."""
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
     sol = solve_normal_censor(scaled.mu, scaled.sigma)
-    sample = sample_prices(scaled, n, seed)
-    mart = mc_censored_mean(sample, sol.b_tilde)
-    prof = mc_expected_profit(sample, sol.b_tilde)
+    mart, prof = _censored_estimates(_price_blocks(scaled, n, seed), sol.b_tilde)
     g = expected_profit(scaled.mu, scaled.sigma, sol.w)
     bf = brute_force_optimal_u(scaled)
     return VerificationReport(

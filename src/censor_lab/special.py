@@ -81,14 +81,21 @@ def hazard(x):
     return SQRT_2_OVER_PI / float(_sp.erfcx(x / SQRT2))
 
 
-def inv_norm_cdf(p):
+def inv_norm_cdf(p, out=None):
     """Inverse standard normal CDF on the open interval (0, 1).
 
+    `out`, an array other than `p`, receives the quantiles of an array `p`.
     Raises DomainError outside (0, 1), where the quantile is infinite
-    or undefined.
+    or undefined; for an array it names the first such element.
     """
-    x = _ufunc(_sp.ndtri, p)
-    if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)):
+    x = _sp.ndtri(p, out=out) if out is not None else _ufunc(_sp.ndtri, p)
+    if isinstance(x, np.ndarray):
+        finite = np.isfinite(x)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DomainError("probability must lie strictly in (0, 1), got "
+                              f"{float(np.ravel(p)[i])!r} at flat index {i}")
+    elif not math.isfinite(x):
         raise DomainError(f"probability must lie strictly in (0, 1), got {p}")
     return x
 

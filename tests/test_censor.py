@@ -149,6 +149,27 @@ class TestSolver:
             with pytest.raises(DomainError):
                 solve_normal_censor(mu, sigma)
 
+    @pytest.mark.parametrize("seed", [1.0, 0.0])
+    def test_exact_root_at_bracket_end(self, monkeypatch, seed):
+        # the seed w0 brackets with [w0 - 0.5, w0 + 0.5], so 0.5 is the lower
+        # end for w0 = 1 and the upper end for w0 = 0; mu is chosen so that
+        # exp(-mu) rounds back to F(0.5, sigma) and 0.5 is an exact root
+        sigma = 0.3
+        f = censor_F(0.5, sigma)
+        mu = -math.log(f)
+        assert math.exp(-mu) == f
+        monkeypatch.setattr(censor_module, "_seed", lambda mu, sigma: seed)
+
+        def refuse(*args, **kwargs):
+            # scipy returns an exact-root end without setting its iteration count
+            raise AssertionError("brentq called on a bracket with an exact root")
+
+        monkeypatch.setattr(censor_module, "brentq", refuse)
+        sol = solve_normal_censor(mu, sigma)
+        assert sol.w == 0.5
+        assert sol.residual == 0.0
+        assert sol.iterations == 0
+
     def test_extreme_corner_overflowing_b(self):
         # sigma = 50, small mu: b_tilde overflows the double range but
         # the log field and the identity remain finite and accurate

@@ -11,9 +11,11 @@ from censor_lab import censor, mc
 from censor_lab.censor import solve_normal_censor
 from censor_lab.errors import DomainError
 from censor_lab.mc import (
+    _BLOCK,
     McEstimate,
+    _censored_estimates,
     _estimate,
-    _uniform_open,
+    _price_blocks,
     brute_force_optimal_u,
     mc_censored_mean,
     mc_expected_profit,
@@ -200,12 +202,17 @@ class TestBruteForceAgainstDenseGrid:
         assert 0.0 < bf.u_star < 1.0
 
 
+def _generator_uniforms(seed, n):
+    """The uniforms of the stream as drawn through numpy's Generator API."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return (rng.integers(0, 1 << 53, size=n, dtype=np.int64) + 0.5) / float(1 << 53)
+
+
 class TestInPlaceArithmetic:
     @pytest.mark.parametrize("seed", [1, 42, 12345])
     def test_sample_matches_plain_expression(self, seed):
         n = 100_000
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        plain = np.exp(SCALED.nu + SCALED.sigma * inv_norm_cdf(_uniform_open(rng, n)))
+        plain = np.exp(SCALED.nu + SCALED.sigma * inv_norm_cdf(_generator_uniforms(seed, n)))
         assert np.array_equal(sample_prices(SCALED, n, seed).values, plain)
 
     @pytest.mark.parametrize("seed", [1, 42, 12345])
@@ -223,3 +230,70 @@ class TestVerificationReport:
         assert report.profit_deviation_se <= report.se_multiplier
         assert abs(report.u_brute_force - report.u_analytic) <= report.u_step
         assert report.passed
+
+
+def _stream_uniforms(monkeypatch, seed, n):
+    """The uniforms the block stream feeds to the inverse CDF."""
+    seen = []
+
+    def record(p, out=None):
+        seen.append(p.copy())
+        return inv_norm_cdf(p, out=out)
+
+    monkeypatch.setattr(mc, "inv_norm_cdf", record)
+    for _ in _price_blocks(SCALED, n, seed):
+        pass
+    return np.concatenate(seen)
+
+
+class TestRawStream:
+    @pytest.mark.parametrize("seed, head", [
+        (42, ["0x1.a3f102fa9ac52p-1", "0x1.839335b2e643ep-3", "0x1.bc3e09cfe109ep-1"]),
+        (12345, ["0x1.4af258141dad4p-1", "0x1.8c6ccd7516eacp-1", "0x1.92a7c623ec684p-1"]),
+    ])
+    def test_first_uniforms_pinned(self, monkeypatch, seed, head):
+        u = _stream_uniforms(monkeypatch, seed, 3)
+        assert [float(x).hex() for x in u] == head
+
+    @pytest.mark.parametrize("seed", [42, 12345])
+    def test_matches_generator_integers(self, monkeypatch, seed):
+        # the raw Philox words are stable (NEP 19); Generator.integers is
+        # not, so this pins the two together on the numpy at hand
+        n = 100_000
+        u = _stream_uniforms(monkeypatch, seed, n)
+        assert np.array_equal(u, _generator_uniforms(seed, n))
+        assert 0.0 < u.min() and u.max() < 1.0
+
+
+class TestBlockStream:
+    @pytest.mark.parametrize("n", [1000, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
+    def test_streamed_equals_materialized(self, n):
+        report = run_verification(SCALED, n, SEED)
+        sample = sample_prices(SCALED, n, SEED)
+        b_tilde = solve_normal_censor(SCALED.mu, SCALED.sigma).b_tilde
+        assert report.martingale == mc_censored_mean(sample, b_tilde)
+        assert report.profit_mc == mc_expected_profit(sample, b_tilde)
+        assert report.martingale == _estimate(np.minimum(sample.values, b_tilde))
+        assert report.profit_mc == _estimate(1.0 / np.minimum(sample.values, b_tilde))
+
+    def test_sample_blocks_tile_the_sample(self):
+        n = 2 * _BLOCK + 5
+        blocks = [b.copy() for b in _price_blocks(SCALED, n, SEED)]
+        assert [b.size for b in blocks] == [_BLOCK, _BLOCK, 5]
+        assert np.array_equal(np.concatenate(blocks), sample_prices(SCALED, n, SEED).values)
+
+    def test_fully_censored_over_several_blocks(self):
+        b_tilde = 1e-9
+        mart, prof = _censored_estimates(_price_blocks(SCALED, 3 * _BLOCK + 17, SEED), b_tilde)
+        assert mart.mean == b_tilde and mart.std_error == 0.0
+        assert prof.mean == 1.0 / b_tilde and prof.std_error == 0.0
+
+    def test_peak_memory_at_default_n(self):
+        run_verification(SCALED, 1000, SEED)
+        tracemalloc.start()
+        try:
+            run_verification(SCALED, 10**6, SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

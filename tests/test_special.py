@@ -209,3 +209,21 @@ class TestInverseCdf:
     def test_array_input(self):
         p = np.array([0.1, 0.5, 0.9])
         np.testing.assert_allclose(norm_cdf(inv_norm_cdf(p)), p, atol=1e-12)
+
+    def test_array_error_names_first_bad_element(self):
+        p = np.full((3, 1000), 0.25)
+        p[1, 7] = 1.0
+        p[2, 0] = 0.0
+        with pytest.raises(DomainError) as info:
+            inv_norm_cdf(p)
+        msg = str(info.value)
+        assert "got 1.0 at flat index 1007" in msg
+        assert len(msg) < 100  # no repr of the whole array
+
+    def test_out_array(self):
+        p = np.array([0.1, 0.5, 0.9])
+        out = np.empty(3)
+        assert inv_norm_cdf(p, out=out) is out
+        assert np.array_equal(out, inv_norm_cdf(p))
+        with pytest.raises(DomainError, match=r"got nan at flat index 1"):
+            inv_norm_cdf(np.array([0.5, np.nan]), out=np.empty(2))
