@@ -77,7 +77,7 @@ def _price_blocks(scaled: ScaledParams, n: int, seed: int):
         raw = bitgen.random_raw(k)
         raw >>= 11
         p = np.add(raw.view(np.int64), 0.5, out=u[:k])
-        del raw
+        del raw  # freed before the next block's words are drawn
         p *= 2.0 ** -53
         x = inv_norm_cdf(p, out=z[:k])
         x *= scaled.sigma

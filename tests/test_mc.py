@@ -289,7 +289,7 @@ class TestBlockStream:
         assert prof.mean == 1.0 / b_tilde and prof.std_error == 0.0
 
     def test_peak_memory_at_default_n(self):
-        run_verification(SCALED, 1000, SEED)
+        run_verification(SCALED, 1000, SEED)  # lazy set-up is not the stream's memory
         tracemalloc.start()
         try:
             run_verification(SCALED, 10**6, SEED)
