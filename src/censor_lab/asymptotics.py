@@ -18,6 +18,8 @@ from .errors import DomainError
 from .model import ModelParams, ScaledParams
 from .special import exp_or_inf, log_norm_cdf, log_norm_cdf_complement, norm_cdf
 
+ORIGIN_THETAS = (1e-2, 1e-3, 1e-4)  # w_bar_origin_limits' shrinking grid, largest first
+
 
 class Regime(enum.Enum):
     """Long-horizon classification of (mu_bar, sigma_bar^2)."""
@@ -204,10 +206,8 @@ class OriginLimitDiagnostics:
         return all(b < a for a, b in zip(self.scaled_values, self.scaled_values[1:]))
 
 
-def w_bar_origin_limits(params: ModelParams,
-                        thetas=(1e-2, 1e-3, 1e-4)) -> OriginLimitDiagnostics:
-    """Evaluate W_bar on a shrinking theta grid (ordered largest first)."""
-    ts = tuple(sorted(thetas, reverse=True))
-    ws = tuple(w_bar(t, params) for t in ts)
-    scaled = tuple(math.sqrt(t) * w for t, w in zip(ts, ws))
-    return OriginLimitDiagnostics(thetas=ts, w_values=ws, scaled_values=scaled)
+def w_bar_origin_limits(params: ModelParams) -> OriginLimitDiagnostics:
+    """Evaluate W_bar on the shrinking grid ORIGIN_THETAS, largest first."""
+    ws = tuple(w_bar(t, params) for t in ORIGIN_THETAS)
+    scaled = tuple(math.sqrt(t) * w for t, w in zip(ORIGIN_THETAS, ws))
+    return OriginLimitDiagnostics(thetas=ORIGIN_THETAS, w_values=ws, scaled_values=scaled)

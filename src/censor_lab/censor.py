@@ -41,7 +41,6 @@ from .special import (
     log_norm_cdf,
     log_norm_cdf_complement,
     norm_cdf,
-    norm_cdf_complement,
     norm_pdf,
 )
 
@@ -158,17 +157,15 @@ def _seed(mu: float, sigma: float) -> float:
     return -mu / sigma + 0.5 * sigma
 
 
-def solve_normal_censor(mu: float, sigma: float,
-                        tol: float = DEFAULT_TOL) -> CensorSolution:
+def solve_normal_censor(mu: float, sigma: float) -> CensorSolution:
     """Solve F(W, sigma) = exp(-mu) for the normal censor W.
 
-    The residual F - exp(-mu) cannot resolve 1 - F ~ mu where exp(-mu)
-    rounds to 1, so such a mu (below ~1.1e-16) raises a DomainError;
+    ``residual`` is |F(W, sigma) - exp(-mu)|, held to DEFAULT_TOL as in the
+    array kernel, or a ConvergenceError.  It cannot resolve 1 - F ~ mu where
+    exp(-mu) rounds to 1, so such a mu (below ~1.1e-16) raises a DomainError;
     the array kernel, which works on log F + mu, solves it.
     """
     _validate(mu, sigma)
-    if not (0.0 < tol <= 1e-8):
-        raise DomainError(f"tol must lie in (0, 1e-8], got {tol}")
 
     target = math.exp(-mu)
     if target == 1.0:
@@ -229,9 +226,9 @@ def solve_normal_censor(mu: float, sigma: float,
         if abs(r_next) >= residual:
             break
         w, r, residual = w_next, r_next, abs(r_next)
-    if residual > tol:
+    if residual > DEFAULT_TOL:
         raise ConvergenceError(
-            f"censor residual {residual:.3e} above tol {tol:.3e} "
+            f"censor residual {residual:.3e} above tol {DEFAULT_TOL:.3e} "
             f"for (mu={mu}, sigma={sigma})")
 
     log_b = sigma * w + mu - 0.5 * sigma * sigma
@@ -301,18 +298,6 @@ def _newton_step(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
         return h, -h / (sigma * np.exp(b - log_f))
 
 
-def _censor_F_array(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """``censor_F`` elementwise, with the same overflow rewrite."""
-    expo = sigma * w - 0.5 * sigma * sigma
-    rewrite = expo > _EXP_SWITCH
-    # each form overflows or divides by zero where the other is taken
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        second = np.exp(expo) * norm_cdf_complement(w)
-        if rewrite.any():
-            second = np.where(rewrite, norm_pdf(sigma - w) / hazard(w), second)
-    return norm_cdf(w - sigma) + second
-
-
 def _element(mu: np.ndarray, sigma: np.ndarray, i: int) -> str:
     return f"element {i} (mu={float(mu[i])!r}, sigma={float(sigma[i])!r})"
 
@@ -341,7 +326,8 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
     input, except that mu may go below ~1.1e-16, where exp(-mu) rounds to
     1, down to the smallest normal float: below that h sits at the
     subnormal floor, its derivative loses its digits and Newton cannot
-    reach W.  ``residual`` is the same F-residual, held to DEFAULT_TOL;
+    reach W.  ``residual`` is the same |F - exp(-mu)|, held to DEFAULT_TOL,
+    taken as exp(-mu)*|expm1(h(W))| without the cancellation near F = 1;
     errors name the offending element by its flat index.  ``iterations``
     counts the passes that evaluated h at each element, the seed pass
     included.
@@ -394,7 +380,8 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
             f"censor not converged in {MAX_ITER} steps at "
             f"{_element(mu, sigma, int(np.argmax(live)))}")
 
-    residual = np.abs(_censor_F_array(w, sigma) - np.exp(-mu))
+    # a last step moves w past the h evaluated for it, so h is taken once more
+    residual = np.exp(-mu) * np.abs(np.expm1(_newton_step(w, mu, sigma)[0]))
     if not (residual <= DEFAULT_TOL).all():
         i = int(np.argmin(residual <= DEFAULT_TOL))
         raise ConvergenceError(
@@ -413,16 +400,15 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
     )
 
 
-def censor_price(mu: float, sigma: float, tol: float = DEFAULT_TOL) -> float:
-    """The censor price b_tilde > 1."""
-    return solve_normal_censor(mu, sigma, tol).b_tilde
+def censor_price(mu: float, sigma: float) -> float:
+    """The censor price b_tilde > 1, from a solve held to DEFAULT_TOL."""
+    return solve_normal_censor(mu, sigma).b_tilde
 
 
-def censor_time_path(params: ModelParams, theta: float,
-                     tol: float = DEFAULT_TOL) -> CensorSolution:
-    """Censor along the horizon: b_bar(theta) = b_tilde(mu_bar*theta, sigma_bar*sqrt(theta))."""
+def censor_time_path(params: ModelParams, theta: float) -> CensorSolution:
+    """b_bar(theta) = b_tilde(mu_bar*theta, sigma_bar*sqrt(theta)), solved to DEFAULT_TOL."""
     scaled = ScaledParams.from_horizon(params, theta)
-    return solve_normal_censor(scaled.mu, scaled.sigma, tol)
+    return solve_normal_censor(scaled.mu, scaled.sigma)
 
 
 def optimal_forward_quantity(b_tilde: float) -> float:

@@ -16,6 +16,7 @@ Defaults are layered: built-in < CENSOR_LAB_SEED environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -67,8 +68,6 @@ def _emit_record(record: dict, args) -> None:
 
 
 def _emit_records(records: list, args) -> None:
-    if not records:
-        return
     if getattr(args, "json", False):
         print(json.dumps(records))
     else:
@@ -89,7 +88,7 @@ def _scaled_from_args(args) -> ScaledParams:
     if direct:
         if args.mu is None or args.sigma is None:
             raise DomainError("--mu and --sigma must be given together")
-        return ScaledParams(mu=args.mu, sigma=args.sigma, theta=1.0)
+        return ScaledParams(mu=args.mu, sigma=args.sigma)
     if args.mu_bar is None or args.sigma2_bar is None:
         raise DomainError("--mu-bar and --sigma2-bar must be given together")
     params = ModelParams.from_variance(args.mu_bar, args.sigma2_bar)
@@ -388,8 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_default_layers(parser: argparse.ArgumentParser, argv: list) -> None:
-    """Built-in < env seed < config file.  Explicit flags always win."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once; main undoes each call's layers, one call at a time."""
+    return build_parser()
+
+
+def _apply_default_layers(parser: argparse.ArgumentParser, argv: list) -> list:
+    """Built-in < env seed < config file, whose keys must be flags.  Explicit flags win.
+
+    Returns (subparser, replaced defaults) pairs, for main to restore.
+    """
     env_seed = os.environ.get("CENSOR_LAB_SEED")
     defaults = {}
     if env_seed is not None:
@@ -400,20 +408,29 @@ def _apply_default_layers(parser: argparse.ArgumentParser, argv: list) -> None:
     pre, _ = parser.parse_known_args(argv)
     config_path = getattr(pre, "config", None)
     if config_path is not None:
-        defaults.update(_load_config(config_path))
-    if defaults:
-        for sp in [parser] + getattr(parser, "_lab_subparsers", []):
-            known = {a.dest for a in sp._actions}
-            applicable = {k: v for k, v in defaults.items() if k in known}
-            if applicable:
-                sp.set_defaults(**applicable)
+        config = _load_config(config_path)
+        flags = {a.dest for sp in parser._lab_subparsers
+                 for a in sp._actions if a.option_strings}
+        unknown = ", ".join(sorted(config.keys() - flags))
+        if unknown:
+            raise DomainError(f"{config_path}: no command has a flag for key(s) {unknown}")
+        defaults.update(config)
+    replaced = []
+    for sp in [parser] + parser._lab_subparsers:
+        known = {a.dest for a in sp._actions}
+        applicable = {k: v for k, v in defaults.items() if k in known}
+        if applicable:
+            replaced.append((sp, {k: sp.get_default(k) for k in applicable}))
+            sp.set_defaults(**applicable)
+    return replaced
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
+    replaced = []
     try:
-        _apply_default_layers(parser, argv)
+        replaced = _apply_default_layers(parser, argv)
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _BUILTIN_SEED
@@ -427,6 +444,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        for sp, previous in replaced:
+            sp.set_defaults(**previous)
 
 
 def entrypoint() -> None:

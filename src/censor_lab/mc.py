@@ -220,7 +220,7 @@ def brute_force_optimal_u(scaled: ScaledParams, u_points: int = 400,
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Composite cross-check used by the CLI mc-check command."""
+    """mc-check's cross-checks; passed within DEFAULT_SE_MULTIPLIER std errors and one u_step."""
 
     martingale: McEstimate
     martingale_deviation_se: float
@@ -230,17 +230,15 @@ class VerificationReport:
     u_analytic: float
     u_brute_force: float
     u_step: float
-    se_multiplier: float
 
     @property
     def passed(self) -> bool:
-        return (self.martingale_deviation_se <= self.se_multiplier
-                and self.profit_deviation_se <= self.se_multiplier
+        return (self.martingale_deviation_se <= DEFAULT_SE_MULTIPLIER
+                and self.profit_deviation_se <= DEFAULT_SE_MULTIPLIER
                 and abs(self.u_brute_force - self.u_analytic) <= self.u_step)
 
 
-def run_verification(scaled: ScaledParams, n: int, seed: int,
-                     se_multiplier: float = DEFAULT_SE_MULTIPLIER) -> VerificationReport:
+def run_verification(scaled: ScaledParams, n: int, seed: int) -> VerificationReport:
     """Martingale, profit and brute-force cross-checks in one pass."""
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
@@ -257,5 +255,4 @@ def run_verification(scaled: ScaledParams, n: int, seed: int,
         u_analytic=sol.u,
         u_brute_force=bf.u_star,
         u_step=bf.u_step,
-        se_multiplier=se_multiplier,
     )

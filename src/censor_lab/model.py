@@ -55,18 +55,16 @@ class ModelParams:
 class ScaledParams:
     """Horizon-scaled drift and standard deviation.
 
-    nu is always recomputed from mu and sigma, never stored, so it can
-    not drift out of sync.
+    The horizon is not kept: every formula takes (mu, sigma) alone.  nu is
+    always recomputed from them, never stored, so it can not drift out of sync.
     """
 
     mu: float
     sigma: float
-    theta: float = 1.0
 
     def __post_init__(self):
         _require_positive_finite("mu", self.mu)
         _require_positive_finite("sigma", self.sigma)
-        _require_positive_finite("theta", self.theta)
 
     @property
     def nu(self) -> float:
@@ -75,6 +73,4 @@ class ScaledParams:
     @classmethod
     def from_horizon(cls, params: ModelParams, theta: float) -> "ScaledParams":
         _require_positive_finite("theta", theta)
-        return cls(mu=params.mu_bar * theta,
-                   sigma=params.sigma_bar * math.sqrt(theta),
-                   theta=theta)
+        return cls(mu=params.mu_bar * theta, sigma=params.sigma_bar * math.sqrt(theta))

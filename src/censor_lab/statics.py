@@ -28,6 +28,10 @@ from .model import ModelParams
 from .special import (SQRT_2PI, exp_or_inf, hazard, log_norm_cdf,
                       log_norm_cdf_complement)
 
+HAZARD_STEP = 1e-6  # the hazard-identity oracle's central-difference step
+OMEGA_BRACKET = (-0.5, 1.5)  # contains omega(sigma), which lies in [0, 1]
+SHAPE_THETA_RANGE = (1e-3, 1e3)  # the log theta grid of censor_shape_check
+
 
 def _w(mu: float, sigma: float) -> float:
     return solve_normal_censor(mu, sigma).w
@@ -83,19 +87,18 @@ def db_dsigma_sign(mu: float, sigma: float, h: float | None = None) -> float:
     return sol.b_tilde * hazard(sol.w)
 
 
-def hazard_identity_residual(mu: float, sigma: float, h: float = 1e-6) -> float:
-    """|W + sigma*dW/dsigma - sigma - H(W)| with dW/dsigma by central difference."""
+def hazard_identity_residual(mu: float, sigma: float) -> float:
+    """|W + sigma*dW/dsigma - sigma - H(W)|, dW/dsigma by a central difference."""
     w = _w(mu, sigma)
-    dw = (_w(mu, sigma + h) - _w(mu, sigma - h)) / (2.0 * h)
+    dw = (_w(mu, sigma + HAZARD_STEP) - _w(mu, sigma - HAZARD_STEP)) / (2.0 * HAZARD_STEP)
     return abs(w + sigma * dw - sigma - hazard(w))
 
 
-def omega_curve(sigma: float, bracket=(-0.5, 1.5)) -> float:
+def omega_curve(sigma: float) -> float:
     """Unique root w = omega(sigma) of exp(-sigma*H(sigma - w)/2) = F(w, sigma).
 
-    Solved in log space.  The root is expected in [0, 1]; the bracket
-    is widened defensively and a bracketing failure is reported rather
-    than silently expanded.
+    Solved in log space by brentq on OMEGA_BRACKET, which contains the
+    root's range [0, 1]; a root outside it is reported, not searched for.
     """
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
@@ -103,15 +106,11 @@ def omega_curve(sigma: float, bracket=(-0.5, 1.5)) -> float:
     def g(w: float) -> float:
         return -0.5 * sigma * hazard(sigma - w) - log_censor_F(w, sigma)
 
-    lo, hi = bracket
+    lo, hi = OMEGA_BRACKET
     glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
     if glo * ghi > 0.0:
         raise ConvergenceError(
-            f"omega root left the bracket {bracket} at sigma={sigma}: "
+            f"omega root left the bracket {OMEGA_BRACKET} at sigma={sigma}: "
             f"g(lo)={glo:.3e}, g(hi)={ghi:.3e}")
     return brentq(g, lo, hi, xtol=1e-13)
 
@@ -119,6 +118,18 @@ def omega_curve(sigma: float, bracket=(-0.5, 1.5)) -> float:
 def omega_sweep(sigmas) -> np.ndarray:
     """omega(sigma) over an iterable of sigmas."""
     return np.array([omega_curve(s) for s in sigmas])
+
+
+def _stationarity_residual(kappa: float, sigma: float) -> float:
+    """sigma*H(sigma - W)/2 - mu at mu = kappa*sigma^2; positive below sigma_star."""
+    mu = kappa * sigma * sigma
+    return 0.5 * sigma * hazard(sigma - solve_normal_censor(mu, sigma).w) - mu
+
+
+def _crude_bracket(kappa: float) -> tuple[float, float, float]:
+    """(lo, hi, cap) for kappa > 1/2: lo < sigma_star < hi unless hi = cap, where mu = 650."""
+    cap = math.sqrt(650.0 / kappa)
+    return 0.5 / (kappa * SQRT_2PI), min(2.0 * math.sqrt(1.0 / (2.0 * kappa - 1.0)), cap), cap
 
 
 @dataclass(frozen=True)
@@ -136,10 +147,13 @@ def stationarity_solve(kappa: float | None = None,
     """Solve mu = sigma*H(sigma - W(mu, sigma))/2 jointly with mu = kappa*sigma^2.
 
     mu is eliminated through the parabola constraint and the single
-    remaining equation in sigma is bisected between (widened versions
-    of) the crude under- and over-estimates; each sigma is solved once,
-    the bracket ends and the residual at sigma_star included.  No
-    solution exists for kappa < 1/2.  At the boundary kappa == 1/2 the
+    remaining equation in sigma is solved by brentq between the crude
+    under- and over-estimates of ``_crude_bracket``.  That bracket is
+    checked, not widened: a residual of the wrong sign at either end
+    raises a ConvergenceError, which a sweep of kappa in the tests sees
+    only where the drift cap binds (kappa below ~0.5015).  Each sigma is
+    solved once, the bracket ends and the residual at sigma_star
+    included.  No solution exists for kappa < 1/2.  At kappa == 1/2 the
     stationary point recedes to infinity: sigma*(kappa) diverges as
     kappa -> 1/2+ (the residual plateaus at (1 - log 2)/2 > 0, since
     sigma*W -> log 2 there), so the solution is reported as existing but
@@ -167,30 +181,17 @@ def stationarity_solve(kappa: float | None = None,
     def f(sigma: float) -> float:
         r = seen.get(sigma)
         if r is None:
-            mu = kappa * sigma * sigma
-            w = solve_normal_censor(mu, sigma).w
-            r = seen[sigma] = 0.5 * sigma * hazard(sigma - w) - mu
+            r = seen[sigma] = _stationarity_residual(kappa, sigma)
         return r
 
-    lo = 0.5 / (kappa * SQRT_2PI)
-    flo = f(lo)
-    shrink = 0
-    while flo <= 0.0:
-        lo *= 0.5
-        flo = f(lo)
-        shrink += 1
-        if shrink > 60:
-            raise ConvergenceError(f"no positive lower bracket for kappa={kappa}")
-
-    hi = 2.0 * math.sqrt(1.0 / (2.0 * kappa - 1.0))
-    sigma_cap = math.sqrt(650.0 / kappa)  # keeps mu = kappa*sigma^2 solvable
-    hi = min(hi, sigma_cap)
-    while f(hi) >= 0.0:
-        if hi >= sigma_cap:
-            raise ConvergenceError(
-                f"stationary point for kappa={kappa} lies beyond the solvable "
-                f"drift range (sigma > {sigma_cap:.3g}); kappa is too close to 1/2")
-        hi = min(2.0 * hi, sigma_cap)
+    lo, hi, sigma_cap = _crude_bracket(kappa)
+    if not f(lo) > 0.0:
+        raise ConvergenceError(f"no positive lower bracket for kappa={kappa}")
+    if not f(hi) < 0.0:
+        raise ConvergenceError(
+            f"stationary point for kappa={kappa} lies beyond sigma = {hi:.3g}, the crude "
+            f"upper bound capped at {sigma_cap:.3g} to keep mu solvable; "
+            "kappa is too close to 1/2")
 
     sigma_star = brentq(f, lo, hi, xtol=1e-12)
     mu_star = kappa * sigma_star * sigma_star
@@ -215,12 +216,11 @@ class ShapeReport:
         return math.log(self.thetas[1] / self.thetas[0])
 
 
-def censor_shape_check(params: ModelParams, theta_min: float = 1e-3,
-                       theta_max: float = 1e3, points: int = 400) -> ShapeReport:
-    """Classify b_bar(theta) as increasing or unimodal on a log theta grid."""
-    if not (0.0 < theta_min < theta_max) or points < 8:
-        raise DomainError("need 0 < theta_min < theta_max and points >= 8")
-    thetas = np.geomspace(theta_min, theta_max, points)
+def censor_shape_check(params: ModelParams, points: int = 400) -> ShapeReport:
+    """Classify b_bar(theta) as increasing or unimodal on `points` log thetas in [1e-3, 1e3]."""
+    if points < 8:
+        raise DomainError(f"points must be at least 8, got {points}")
+    thetas = np.geomspace(*SHAPE_THETA_RANGE, points)
     log_b = solve_normal_censor_array(*params.scaled(thetas)).log_b_tilde
     peak = int(np.argmax(log_b))
     rising = bool(np.all(np.diff(log_b) > 0.0))

@@ -45,6 +45,7 @@ from .statics import _dw_dmu_at, _dw_dsigma_at
 
 ENDPOINT_MARGIN = 1e-9
 SCAN_POINTS = 256
+FOC_TOL = 1e-6  # the largest |(g_bar - 1)/g_bar' - (1 - theta*)| solve_foc accepts
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,8 @@ def _revenue_second(theta: float, params: ModelParams, at: _Horizon) -> float:
     return (1.0 - theta) * (s2 * da - mb * (at.g_prime - du)) - 2.0 * at.g_prime
 
 
-def solve_foc(params: ModelParams, tol: float = 1e-6) -> TimingSolution:
-    """Smallest stationary point of R in (0, 1), verified to be a local max."""
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-
+def solve_foc(params: ModelParams) -> TimingSolution:
+    """Smallest stationary point of R in (0, 1): a local max, its FOC residual <= FOC_TOL."""
     lo_end, hi_end = ENDPOINT_MARGIN, 1.0 - ENDPOINT_MARGIN
     grid = lo_end + (hi_end - lo_end) * np.arange(SCAN_POINTS) / (SCAN_POINTS - 1)
     values = _revenue_prime(grid, params)
@@ -167,9 +165,9 @@ def solve_foc(params: ModelParams, tol: float = 1e-6) -> TimingSolution:
             f"(R'' = {r_second:.3e})")
 
     residual = abs((at.g - 1.0) / at.g_prime - (1.0 - theta_star))
-    if residual > tol:
+    if residual > FOC_TOL:
         raise ConvergenceError(
-            f"FOC residual {residual:.3e} above tol {tol:.3e} at theta={theta_star}")
+            f"FOC residual {residual:.3e} above tol {FOC_TOL:.3e} at theta={theta_star}")
 
     return TimingSolution(theta_star=theta_star,
                           r_value=theta_star + (1.0 - theta_star) * at.g,

@@ -137,12 +137,6 @@ class TestSolver:
             sol = solve_normal_censor(mu, sigma)
             assert sol.b_tilde * norm_cdf_complement(sol.w) < 1.0
 
-    def test_tolerance_validation(self):
-        with pytest.raises(DomainError):
-            solve_normal_censor(0.05, 0.3, tol=1e-6)
-        with pytest.raises(DomainError):
-            solve_normal_censor(0.05, 0.3, tol=0.0)
-
     def test_domain_errors(self):
         for mu, sigma in [(0.0, 0.3), (-1.0, 0.3), (0.05, 0.0),
                           (0.05, -1.0), (800.0, 0.3)]:

@@ -106,6 +106,11 @@ class TestProfitCommand:
         assert code == EXIT_OK
         assert json.loads(out)["myopic_profit"] == math.inf
 
+    def test_horizon_pair_needs_both(self, capsys):
+        code, _, err = run(capsys, "profit", "--mu-bar", "0.05")
+        assert code == EXIT_USAGE
+        assert "together" in err
+
 
 class TestTimingCommand:
     def test_exact_solver(self, capsys):
@@ -188,6 +193,12 @@ class TestFiguresCommand:
                          "--points", "1")
         assert code == EXIT_USAGE
 
+    def test_theta_max_must_exceed_grid_start(self, capsys, tmp_path):
+        code, _, err = run(capsys, "figures", "--out", str(tmp_path),
+                           "--theta-max", "0.01")
+        assert code == EXIT_USAGE
+        assert "--theta-max" in err
+
 
 class TestStaticsCommand:
     def test_stationarity_record(self, capsys):
@@ -210,9 +221,17 @@ class TestStaticsCommand:
         assert len(lines) == 6
         assert all(float(line.split(",")[1]) > 0.0 for line in lines[1:])
 
+    def test_omega_sweep_json(self, capsys):
+        code, out, _ = run(capsys, "statics", "--omega-sweep", "0.5:2.5:5", "--json")
+        assert code == EXIT_OK
+        records = json.loads(out)
+        assert [r["sigma"] for r in records] == [0.5, 1.0, 1.5, 2.0, 2.5]
+        assert all(r["omega"] > 0.0 for r in records)
+
     def test_bad_sweep_spec(self, capsys):
-        code, _, _ = run(capsys, "statics", "--omega-sweep", "1:2")
-        assert code == EXIT_USAGE
+        for spec in ("1:2", "1:x:5", "2:1:5"):
+            code, _, _ = run(capsys, "statics", "--omega-sweep", spec)
+            assert code == EXIT_USAGE, spec
 
     def test_requires_some_work(self, capsys):
         code, _, err = run(capsys, "statics")
@@ -256,6 +275,22 @@ class TestMcCheckCommand:
         code, _, _ = run(capsys, "mc-check", "--n", "20000")
         assert code == EXIT_USAGE
 
+    def test_layers_do_not_leak_into_the_next_call(self, capsys, monkeypatch, tmp_path):
+        # main keeps one parser across calls: each call's layered seed goes
+        # with it
+        monkeypatch.setenv("CENSOR_LAB_SEED", "777")
+        _, out, _ = run(capsys, "mc-check", "--n", "10000", "--json")
+        assert json.loads(out)["seed"] == 777
+        monkeypatch.delenv("CENSOR_LAB_SEED")
+        _, out, _ = run(capsys, "mc-check", "--n", "10000", "--json")
+        assert json.loads(out)["seed"] == 12345
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 31\n")
+        _, out, _ = run(capsys, "mc-check", "--n", "10000", "--config", str(cfg), "--json")
+        assert json.loads(out)["seed"] == 31
+        _, out, _ = run(capsys, "mc-check", "--n", "10000", "--json")
+        assert json.loads(out)["seed"] == 12345
+
     def test_deterministic_given_seed(self, capsys):
         _, first, _ = run(capsys, "mc-check", "--n", "20000", "--seed", "9",
                           "--json")
@@ -293,6 +328,21 @@ class TestConfigLayer:
         code, _, err = run(capsys, "censor", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert "key=value" in err
+
+    def test_unknown_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma2bar = 0.2\n")
+        code, out, err = run(capsys, "mc-check", "--n", "10000", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "sigma2bar" in err and out == ""
+
+    def test_other_commands_keys_allowed(self, capsys, tmp_path):
+        # one file serves every command: mc-check's seed is no error for censor
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 0.05\nsigma = 0.3\nseed = 31\n")
+        code, out, _ = run(capsys, "censor", "--config", str(cfg), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["sigma"] == 0.3
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "censor", "--config",

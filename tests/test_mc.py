@@ -226,8 +226,8 @@ class TestInPlaceArithmetic:
 class TestVerificationReport:
     def test_composite_passes(self):
         report = run_verification(SCALED, 100_000, SEED)
-        assert report.martingale_deviation_se <= report.se_multiplier
-        assert report.profit_deviation_se <= report.se_multiplier
+        assert report.martingale_deviation_se <= mc.DEFAULT_SE_MULTIPLIER
+        assert report.profit_deviation_se <= mc.DEFAULT_SE_MULTIPLIER
         assert abs(report.u_brute_force - report.u_analytic) <= report.u_step
         assert report.passed
 

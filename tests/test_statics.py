@@ -231,6 +231,20 @@ class TestStationarity:
         with pytest.raises(ConvergenceError):
             stationarity_solve(0.5 + 1e-12)
 
+    def test_crude_bounds_bracket_the_root(self):
+        # stationarity_solve checks its crude bracket rather than widening
+        # it: the residual must be positive at the lower bound, and
+        # negative at the upper one wherever the drift cap does not bind
+        kappas = 0.5 + np.geomspace(1e-9, 1e4 - 0.5, 400)
+        uncapped = 0
+        for kappa in kappas:
+            lo, hi, cap = statics_module._crude_bracket(kappa)
+            assert statics_module._stationarity_residual(kappa, lo) > 0.0, kappa
+            if hi < cap:
+                assert statics_module._stationarity_residual(kappa, hi) < 0.0, kappa
+                uncapped += 1
+        assert uncapped >= 200
+
     def test_domain(self):
         with pytest.raises(DomainError):
             stationarity_solve(-1.0)
@@ -294,8 +308,6 @@ class TestShapeCheck:
 
     def test_validation(self):
         p = ModelParams.from_variance(0.05, 0.05)
-        with pytest.raises(DomainError):
-            censor_shape_check(p, theta_min=1.0, theta_max=0.1)
         with pytest.raises(DomainError):
             censor_shape_check(p, points=4)
 

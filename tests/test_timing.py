@@ -81,10 +81,6 @@ class TestExactSolver:
         stars = [solve_foc(make_params(s2)).theta_star for s2 in VARIANCES]
         assert all(b > a for a, b in zip(stars, stars[1:]))
 
-    def test_tol_validation(self):
-        with pytest.raises(DomainError):
-            solve_foc(make_params(0.07), tol=0.0)
-
 
 def central_difference(theta: float, params: ModelParams) -> float:
     """Finite-difference oracle for g_bar', independent of the closed form."""
