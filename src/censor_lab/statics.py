@@ -15,6 +15,7 @@ the dispersion kappa = mu_bar / sigma_bar^2 is at least 1/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -37,23 +38,17 @@ def _w(mu: float, sigma: float) -> float:
     return solve_normal_censor(mu, sigma).w
 
 
-def _dw_dmu_at(mu: float, sigma: float, w: float) -> float:
+def dw_dmu(mu: float, sigma: float) -> float:
+    """dW/dmu = -exp(-mu)/F_w, F_w = sigma*exp(sigma*W - sigma^2/2)*(1 - Phi(W))."""
+    w = _w(mu, sigma)
     return -exp_or_inf(-mu - math.log(sigma) - sigma * w + 0.5 * sigma * sigma
                        - log_norm_cdf_complement(w))
 
 
-def _dw_dsigma_at(mu: float, sigma: float, w: float) -> float:
-    return (hazard(w) - w + sigma) / sigma
-
-
-def dw_dmu(mu: float, sigma: float) -> float:
-    """dW/dmu = -exp(-mu)/F_w, F_w = sigma*exp(sigma*W - sigma^2/2)*(1 - Phi(W))."""
-    return _dw_dmu_at(mu, sigma, _w(mu, sigma))
-
-
 def dw_dsigma(mu: float, sigma: float) -> float:
     """dW/dsigma = (H(W) - W + sigma)/sigma, with H the normal hazard rate."""
-    return _dw_dsigma_at(mu, sigma, _w(mu, sigma))
+    w = _w(mu, sigma)
+    return (hazard(w) - w + sigma) / sigma
 
 
 def _log_b_difference(mu: float, sigma: float, h_mu: float, h_sigma: float) -> float:
@@ -103,15 +98,16 @@ def omega_curve(sigma: float) -> float:
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
 
+    # brentq reads the bracket ends back from the cache
+    @functools.cache
     def g(w: float) -> float:
         return -0.5 * sigma * hazard(sigma - w) - log_censor_F(w, sigma)
 
     lo, hi = OMEGA_BRACKET
-    glo, ghi = g(lo), g(hi)
-    if glo * ghi > 0.0:
+    if g(lo) * g(hi) > 0.0:
         raise ConvergenceError(
             f"omega root left the bracket {OMEGA_BRACKET} at sigma={sigma}: "
-            f"g(lo)={glo:.3e}, g(hi)={ghi:.3e}")
+            f"g(lo)={g(lo):.3e}, g(hi)={g(hi):.3e}")
     return brentq(g, lo, hi, xtol=1e-13)
 
 
@@ -174,15 +170,10 @@ def stationarity_solve(kappa: float | None = None,
         return StationaritySolution(kappa=kappa, sigma_star=None, mu_star=None,
                                     theta_star_b=None, exists=True)
 
-    # brentq re-evaluates the bracket ends and returns one of its points,
-    # so each value is kept
-    seen: dict[float, float] = {}
-
+    # brentq reads the bracket ends back and returns one of its points
+    @functools.cache
     def f(sigma: float) -> float:
-        r = seen.get(sigma)
-        if r is None:
-            r = seen[sigma] = _stationarity_residual(kappa, sigma)
-        return r
+        return _stationarity_residual(kappa, sigma)
 
     lo, hi, sigma_cap = _crude_bracket(kappa)
     if not f(lo) > 0.0:
@@ -223,9 +214,7 @@ def censor_shape_check(params: ModelParams, points: int = 400) -> ShapeReport:
     thetas = np.geomspace(*SHAPE_THETA_RANGE, points)
     log_b = solve_normal_censor_array(*params.scaled(thetas)).log_b_tilde
     peak = int(np.argmax(log_b))
-    rising = bool(np.all(np.diff(log_b) > 0.0))
-    if rising or peak == points - 1:
-        return ShapeReport(shape="increasing", theta_peak=None,
-                           thetas=thetas, log_b_values=log_b)
-    return ShapeReport(shape="unimodal", theta_peak=float(thetas[peak]),
+    rising = peak == points - 1
+    return ShapeReport(shape="increasing" if rising else "unimodal",
+                       theta_peak=None if rising else float(thetas[peak]),
                        thetas=thetas, log_b_values=log_b)

@@ -4,11 +4,12 @@ The revenue over the unit interval is R(theta) = theta + (1 - theta) *
 g_bar(theta); the first-order condition is solved exactly by scanning
 R' = 1 - g_bar + (1 - theta) * g_bar' for its first sign change, in one
 call of the array censor kernel over the scan grid, and refining that
-bracket by brentq on scalar solves.  The last of those solves also
-gives R(theta*), the FOC residual and R''(theta*), whose sign confirms
-the maximum, so no horizon is solved twice.  The two simplified
-closed-form cases (substitute profit models 1 + A*theta*exp(-alpha*theta)
-and exp(alpha*theta)) are exposed separately in terms of alpha alone.
+bracket by brentq on scalar solves.  As R'(0+) = sigma_bar^2 > 0, a first
+sign change from + to - is a local maximum of R.  The last scalar solve
+gives R(theta*) and the FOC residual, so no horizon is solved twice.  The
+two simplified closed-form cases (substitute profit models
+1 + A*theta*exp(-alpha*theta) and exp(alpha*theta)) are exposed
+separately in terms of alpha alone.
 
 g_bar' has a closed form.  Differentiating F(W, sigma) = exp(-mu)
 implicitly gives the total derivatives of g(mu, sigma) along the censor,
@@ -21,14 +22,12 @@ cancel exactly.  By the chain rule along (mu_bar*theta, sigma_bar*sqrt(theta)),
     g_bar'(theta) = sigma_bar^2 * exp(sigma^2 - mu) * Phi(W + sigma)
                     - mu_bar * (g - u),
 
-so g_bar and g_bar' come from one censor solve.  Differentiating once
-more, with sigma' = sigma/(2*theta) and W' = mu_bar*dW/dmu + sigma'*dW/dsigma
-from the implicit-function theorem (``statics``), gives g_bar'' and
-R'' = (1 - theta)*g_bar'' - 2*g_bar' from that same solve.
+so g_bar and g_bar' come from one censor solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -40,8 +39,7 @@ from .censor import solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
 from .profit import expected_profit, g_bar
-from .special import SQRT_2PI, exp_or_inf, log_norm_cdf
-from .statics import _dw_dmu_at, _dw_dsigma_at
+from .special import exp_or_inf, log_norm_cdf
 
 ENDPOINT_MARGIN = 1e-9
 SCAN_POINTS = 256
@@ -65,14 +63,9 @@ def revenue(theta: float, params: ModelParams) -> float:
 
 
 class _Horizon(NamedTuple):
-    """The censor at one horizon theta > 0, or at an array of them, and g_bar, g_bar' there."""
+    """g_bar and g_bar' at one horizon theta > 0, or at an array of them."""
 
-    mu: float
-    sigma: float
-    w: float
-    u: float
     g: float
-    growth: float  # exp(sigma^2 - mu) * Phi(W + sigma)
     g_prime: float
 
     def revenue_prime(self, theta):
@@ -91,8 +84,10 @@ def _horizon(theta, params: ModelParams) -> _Horizon:
         sol = solve_normal_censor(mu, sigma)
     g = expected_profit(mu, sigma, sol.w)
     growth = exp_or_inf(sigma * sigma - mu + log_norm_cdf(sol.w + sigma))
-    return _Horizon(mu, sigma, sol.w, sol.u, g, growth,
-                    params.sigma2_bar * growth - params.mu_bar * (g - sol.u))
+    # g_bar' overflows where sigma_bar^2 is large, and is inf - inf = nan
+    # where g overflows too; solve_foc turns either into a ConvergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _Horizon(g, params.sigma2_bar * growth - params.mu_bar * (g - sol.u))
 
 
 def g_bar_prime(theta: float, params: ModelParams) -> float:
@@ -109,68 +104,54 @@ def _revenue_prime(theta, params: ModelParams):
     return _horizon(theta, params).revenue_prime(theta)
 
 
-def _revenue_second(theta: float, params: ModelParams, at: _Horizon) -> float:
-    """R''(theta) = (1 - theta)*g_bar'' - 2*g_bar' for scalar theta > 0.
-
-    With A = exp(sigma^2 - mu)*Phi(W + sigma), sigma' = sigma/(2*theta) and
-    W' = mu_bar*dW/dmu + sigma'*dW/dsigma,
-
-        g_bar'' = sigma_bar^2*A' - mu_bar*(g_bar' - u'),
-        A' = (sigma_bar^2 - mu_bar)*A + exp(sigma^2 - mu)*pdf(W + sigma)*(W' + sigma'),
-        u' = -2*u*(sigma'*W + sigma*W' + mu_bar - sigma_bar^2/2).
-
-    ``at`` is the solved horizon at theta.
-    """
-    mu, sigma, w = at.mu, at.sigma, at.w
-    mb, s2 = params.mu_bar, params.sigma2_bar
-    ds = sigma / (2.0 * theta)
-    dw = mb * _dw_dmu_at(mu, sigma, w) + ds * _dw_dsigma_at(mu, sigma, w)
-    da = ((s2 - mb) * at.growth
-          + exp_or_inf(sigma * sigma - mu - 0.5 * (w + sigma) ** 2) / SQRT_2PI * (dw + ds))
-    du = -2.0 * at.u * (ds * w + sigma * dw + mb - 0.5 * s2)
-    return (1.0 - theta) * (s2 * da - mb * (at.g_prime - du)) - 2.0 * at.g_prime
-
-
 def solve_foc(params: ModelParams) -> TimingSolution:
-    """Smallest stationary point of R in (0, 1): a local max, its FOC residual <= FOC_TOL."""
+    """Smallest stationary point of R in (0, 1): a local max, its FOC residual <= FOC_TOL.
+
+    R' > 0 at the first scan point, and R' < 0 past its first sign change in
+    the scan and at the scalar bracket ends, so that root is a maximum of R.
+    """
     lo_end, hi_end = ENDPOINT_MARGIN, 1.0 - ENDPOINT_MARGIN
     grid = lo_end + (hi_end - lo_end) * np.arange(SCAN_POINTS) / (SCAN_POINTS - 1)
     values = _revenue_prime(grid, params)
 
-    # the first grid point that is a root or starts a sign change
-    hits = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
-    if hits.size == 0:
+    # the first grid point that is a root or starts a sign change, found by
+    # comparing signs: the product of two neighbours can overflow
+    signs = np.sign(values)
+    hits = np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] == -signs[1:]))
+    if hits.size == 0 or not values[0] > 0.0 > values[hits[0] + 1]:
         raise ConvergenceError(
-            f"no sign change of R' on (0, 1) for {params}; "
-            "a root is guaranteed for valid inputs")
+            "R' on (0, 1) has no sign change, or its first is not from + to -, "
+            f"for {params}; a maximum is guaranteed for valid inputs")
+    i = hits[0]
 
-    # brentq returns one of the points it evaluated, so its solves are kept
-    solved: dict[float, _Horizon] = {}
+    # cached, as brentq evaluates the checked bracket ends again and theta*
+    # is one of its points: each horizon is solved once
+    @functools.cache
+    def at(theta: float) -> _Horizon:
+        return _horizon(theta, params)
 
     def r_prime(theta: float) -> float:
-        solved[theta] = _horizon(theta, params)
-        return solved[theta].revenue_prime(theta)
+        return at(theta).revenue_prime(theta)
 
-    i = hits[0]
-    if values[i] == 0.0:
-        theta_star = float(grid[i])
-    else:
-        theta_star = brentq(r_prime, float(grid[i]), float(grid[i + 1]), xtol=1e-12)
-    at = solved.get(theta_star) or _horizon(theta_star, params)
+    lo, hi = float(grid[i]), float(grid[i + 1])
+    theta_star = lo
+    if values[i] != 0.0:
+        if not r_prime(lo) > 0.0 > r_prime(hi):
+            raise ConvergenceError(
+                "the scalar solves do not confirm the scan's sign change of R' "
+                f"on [{lo}, {hi}] for {params}")
+        theta_star = brentq(r_prime, lo, hi, xtol=1e-12)
+    g, g_prime = at(theta_star)
 
-    r_second = _revenue_second(theta_star, params, at)
-    if not r_second < 0.0:
-        raise ConvergenceError(
-            f"stationary point {theta_star} is not a local maximum of R "
-            f"(R'' = {r_second:.3e})")
-
-    residual = abs((at.g - 1.0) / at.g_prime - (1.0 - theta_star))
+    if not g_prime > 0.0:
+        raise ConvergenceError(f"g_bar' = {g_prime:.3e} is not positive at theta={theta_star}")
+    residual = abs((g - 1.0) / g_prime - (1.0 - theta_star))
     if residual > FOC_TOL:
         raise ConvergenceError(
             f"FOC residual {residual:.3e} above tol {FOC_TOL:.3e} at theta={theta_star}")
 
     return TimingSolution(theta_star=theta_star,
-                          r_value=theta_star + (1.0 - theta_star) * at.g,
+                          r_value=theta_star + (1.0 - theta_star) * g,
                           foc_residual=residual, branch="exact",
                           is_smallest_root=True)
 

@@ -143,6 +143,15 @@ class TestTimingCommand:
                          "--mu-bar", "0.05", "--sigma2-bar", "0.07")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("mu_bar,sigma2_bar", [("50", "0.001"), ("100", "0.07")])
+    def test_rounding_level_slope_is_numerical_failure(self, capsys, mu_bar, sigma2_bar):
+        # R' sits at the rounding level: it touches 0 without turning negative
+        # at the first point, and the scan and scalar solves disagree on its
+        # sign at the second
+        code, _, err = run(capsys, "timing", "--mu-bar", mu_bar, "--sigma2-bar", sigma2_bar)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err
+
 
 class TestFiguresCommand:
     def test_writes_all_regime_files(self, capsys, tmp_path):

@@ -7,6 +7,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censor_lab import statics as statics_module
 from censor_lab import timing as timing_module
@@ -181,6 +183,28 @@ class TestOmegaCurve:
         with pytest.raises(DomainError):
             omega_curve(0.0)
 
+    def test_bracket_ends_evaluated_once(self, monkeypatch):
+        # brentq reads the sign check's two end values back from the cache
+        calls, log_censor_F = [], statics_module.log_censor_F
+
+        def counting(w, sigma):
+            calls.append(w)
+            return log_censor_F(w, sigma)
+
+        monkeypatch.setattr(statics_module, "log_censor_F", counting)
+        omega_curve(1.0)
+        assert len(calls) == 10
+        assert len(set(calls)) == len(calls)
+
+    @given(st.floats(math.log(1e-8), math.log(1e3)).map(math.exp))
+    @settings(max_examples=60, deadline=None)
+    def test_finite_or_typed_error(self, sigma):
+        try:
+            w = omega_curve(sigma)
+        except (DomainError, ConvergenceError):
+            return
+        assert math.isfinite(w)
+
 
 class TestStationarity:
     def test_no_root_below_half(self):
@@ -250,6 +274,27 @@ class TestStationarity:
             stationarity_solve(-1.0)
         with pytest.raises(DomainError):
             stationarity_solve()
+
+    def test_no_sigma_solved_twice(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_normal_censor(*args, **kwargs)
+
+        monkeypatch.setattr(statics_module, "solve_normal_censor", counting)
+        stationarity_solve(1.0)
+        assert calls and len(set(calls)) == len(calls)
+
+    @given(st.floats(0.5, 1e6, exclude_min=True))
+    @settings(max_examples=60, deadline=None)
+    def test_finite_or_typed_error(self, kappa):
+        try:
+            sol = stationarity_solve(kappa)
+        except (DomainError, ConvergenceError):
+            return
+        assert sol.exists
+        assert all(math.isfinite(x) for x in (sol.sigma_star, sol.mu_star, sol.residual))
 
     def test_horizon_filled_from_params(self):
         p = ModelParams.from_variance(0.05, 0.05)  # kappa = 1

@@ -9,13 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from censor_lab import profit as profit_module
 from censor_lab import statics as statics_module
 from censor_lab import timing as timing_module
 from censor_lab.censor import solve_normal_censor, solve_normal_censor_array
-from censor_lab.errors import DomainError
+from censor_lab.errors import ConvergenceError, DomainError
 from censor_lab.model import ModelParams
 from censor_lab.profit import g_bar
 from censor_lab.timing import (
@@ -31,6 +33,10 @@ VARIANCES = (0.01, 0.03, 0.07, 0.15)
 
 def make_params(s2: float) -> ModelParams:
     return ModelParams.from_variance(0.05, s2)
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 class TestRevenue:
@@ -206,6 +212,15 @@ class TestCaseII:
             with pytest.raises(DomainError):
                 theta_case_ii(a)
 
+    @given(log_uniform(1e-300, 1e300))
+    @settings(max_examples=60, deadline=None)
+    def test_finite_or_typed_error(self, alpha):
+        try:
+            res = theta_case_ii(alpha)
+        except (DomainError, ConvergenceError):
+            return
+        assert 0.0 <= res.exact <= 1.0
+
 
 class TestNoReSolves:
     def test_few_scalar_solves(self, monkeypatch):
@@ -222,21 +237,63 @@ class TestNoReSolves:
         assert len(scalar) <= 7
         assert len(set(scalar)) == len(scalar)
 
-    @pytest.mark.parametrize("s2", VARIANCES)
-    @pytest.mark.parametrize("theta", [0.05, 0.3, 0.5, 0.9])
-    def test_curvature_matches_central_difference(self, s2, theta):
-        # the oracle: R'' = (1 - theta)*g_bar'' - 2*g_bar', with g_bar''
-        # the central difference of the closed-form g_bar'
-        p = make_params(s2)
-        h = 1e-4 * theta
-        g2 = (g_bar_prime(theta + h, p) - g_bar_prime(theta - h, p)) / (2.0 * h)
-        want = (1.0 - theta) * g2 - 2.0 * g_bar_prime(theta, p)
-        at = timing_module._horizon(theta, p)
-        assert timing_module._revenue_second(theta, p, at) == pytest.approx(want, rel=1e-7)
 
-    @pytest.mark.parametrize("s2", VARIANCES)
-    def test_maximum_has_negative_curvature(self, s2):
-        p = make_params(s2)
-        theta = solve_foc(p).theta_star
-        at = timing_module._horizon(theta, p)
-        assert timing_module._revenue_second(theta, p, at) < 0.0
+# the box of (mu_bar, sigma2_bar) solve_foc is swept over: theta < 1 keeps
+# mu = mu_bar*theta inside the censor's domain
+MU_BAR_BOX = (1e-6, 690.0)
+SIGMA2_BAR_BOX = (1e-6, 1e3)
+
+
+def solve_or_typed_error(params: ModelParams):
+    """solve_foc's result, or None where it raises one of the library's typed errors."""
+    try:
+        return solve_foc(params)
+    except (DomainError, ConvergenceError):
+        return None
+
+
+class TestRootRule:
+    def test_upward_first_crossing_rejected(self, monkeypatch):
+        # a synthetic R'(theta) = theta - 1/2 first crosses zero upward: a minimum of R
+        monkeypatch.setattr(timing_module, "_horizon", lambda theta, params:
+                            timing_module._Horizon(1.5 - theta, 0.0 * theta))
+        with pytest.raises(ConvergenceError, match="its first is not from"):
+            solve_foc(make_params(0.07))
+
+    def test_vanishing_g_bar_prime_rejected(self, monkeypatch):
+        # a synthetic R'(theta) = 1/2 - theta with g_bar' = 0: the FOC residual
+        # (g_bar - 1)/g_bar' is undefined at the root
+        monkeypatch.setattr(timing_module, "_horizon", lambda theta, params:
+                            timing_module._Horizon(0.5 + theta, 0.0 * theta))
+        with pytest.raises(ConvergenceError, match="is not positive"):
+            solve_foc(make_params(0.07))
+
+    @pytest.mark.parametrize("mu_bar,sigma2_bar", [(50.0, 0.001), (100.0, 0.07)])
+    def test_rounding_level_revenue_slope_rejected(self, mu_bar, sigma2_bar):
+        # at the first point g_bar' underflows to 0 and the scanned R' touches
+        # 0 without turning negative; at the second the scan and the scalar
+        # solves disagree on the sign of R' at a cell end
+        with pytest.raises(ConvergenceError):
+            solve_foc(ModelParams.from_variance(mu_bar, sigma2_bar))
+
+    def test_coarse_grid_solves_or_raises_typed_errors(self):
+        # under the suite's warning filters, so no overflow warning escapes either
+        pairs = [(m, s) for m in np.geomspace(*MU_BAR_BOX, 7)
+                 for s in np.geomspace(*SIGMA2_BAR_BOX, 7)]
+        pairs += [(50.0, 0.001), (100.0, 0.07)]
+        solved = 0
+        for mu_bar, sigma2_bar in pairs:
+            sol = solve_or_typed_error(ModelParams.from_variance(float(mu_bar), float(sigma2_bar)))
+            if sol is not None:
+                assert 0.0 < sol.theta_star < 1.0
+                assert sol.foc_residual <= timing_module.FOC_TOL
+                solved += 1
+        assert solved >= 20
+
+    @given(log_uniform(*MU_BAR_BOX), log_uniform(*SIGMA2_BAR_BOX))
+    @settings(max_examples=40, deadline=None)
+    def test_finite_or_typed_error(self, mu_bar, sigma2_bar):
+        sol = solve_or_typed_error(ModelParams.from_variance(mu_bar, sigma2_bar))
+        if sol is not None:
+            assert 0.0 < sol.theta_star < 1.0
+            assert math.isfinite(sol.r_value) and sol.foc_residual <= timing_module.FOC_TOL
