@@ -11,18 +11,26 @@ sorted quadrature nodes in O(N log N) rather than on a dense u x node
 grid.
 
 The sample streams through fixed blocks of 2**16 values, each taken
-from raw Philox words to uniforms, ndtri normals and prices in one
-reused buffers; `run_verification` folds each block into the running
-sums of both estimators, so it needs O(block) memory for any n.
+from raw Philox words to uniforms, ndtri normals and prices.  Philox is
+counter-based, so each block starts its own generator at its offset of
+the stream, and the blocks are spread over a pool of threads (numpy and
+scipy release the GIL in the ufuncs), one per CPU this process may run
+on, at most 3, and no more than the blocks.  `run_verification` folds
+block 0 first, then each other block returns its sums about the first
+values, and the sums are added in block order: the estimates are the
+same bits for any worker count, and the memory is O(workers x block),
+about 1.1 MB traced per worker and 3.3 MB at the cap, for any n.
 Moments are taken about the first value, so a constant (fully censored)
 sample has mean equal to it and standard error exactly 0.0.
-`sample_prices` and the estimators on a materialized sample use the
-same blocks and match the stream bit for bit.
+`sample_prices` draws each block into its own slice of the sample, and
+the estimators on a materialized sample match the stream bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,6 +45,19 @@ from .special import inv_norm_cdf
 DEFAULT_SE_MULTIPLIER = 3.0
 # values per block of the sample stream: 512 KiB of doubles, cache-sized
 _BLOCK = 1 << 16
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity masks
+        return os.cpu_count() or 1
+
+
+# threads a stream's blocks are spread over: the CPUs this process may run
+# on, at most 3, as each holds two blocks (1.1 MB) in flight and the stream
+# stays under 4 MB traced
+_WORKERS = min(_cpus(), 3)
 
 
 @dataclass(frozen=True)
@@ -66,37 +87,83 @@ class McEstimate:
         return abs(self.mean - reference) / self.std_error
 
 
+def _check_seed(seed) -> None:
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and 0 <= seed < 2**128):
+        raise DomainError(f"seed must be an int in [0, 2**128), got {seed!r}")
+
+
+def _block_prices(scaled: ScaledParams, seed: int, start: int, k: int, out=None):
+    """Prices of the stream's values start .. start + k - 1, into `out` if given.
+
+    Returns the prices and a scratch array of k doubles the caller may overwrite.
+    """
+    # Philox draws 4 words per counter step, so from a multiple of 4 this
+    # generator continues the stream drawn from counter 0
+    raw = np.random.Philox(key=seed, counter=start // 4).random_raw(k)
+    # the top 53 bits of each raw word, as Generator.integers(0, 2**53) takes
+    # them, shifted half a lattice cell: strictly inside (0, 1)
+    raw >>= 11
+    p = np.add(raw.view(np.int64), 0.5, out=np.empty(k))
+    p *= 2.0 ** -53
+    # the normals overwrite the words: an in-place int64 -> float64 add would
+    # have numpy copy the overlapping operand
+    x = inv_norm_cdf(p, out=raw.view(np.float64) if out is None else out)
+    x *= scaled.sigma
+    x += scaled.nu
+    return np.exp(x, out=x), p
+
+
+def _fan_out(task, n: int, first: int = 0) -> list:
+    """task(start, k) for each block [start, start + k) of values first .. n - 1, in block order.
+
+    The blocks are spread over min(_WORKERS, blocks) threads of a pool
+    that lives for the call only; each task runs under the caller's
+    numpy errstate, a context variable the threads do not inherit.
+    """
+    starts = range(first, n, _BLOCK)
+    sizes = [min(_BLOCK, n - start) for start in starts]
+    workers = min(_WORKERS, len(starts))
+    if workers <= 1:
+        return list(map(task, starts, sizes))
+    err = np.geterr()
+
+    def run(start, k):
+        with np.errstate(**err):
+            return task(start, k)
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, starts, sizes))
+
+
 def _price_blocks(scaled: ScaledParams, n: int, seed: int):
-    """The n prices exp(nu + sigma * z) in blocks of _BLOCK, each a view of one reused buffer."""
-    bitgen = np.random.Philox(key=seed)
-    u, z = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    """The n prices exp(nu + sigma * z) in blocks of _BLOCK, drawn one after another."""
     for start in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - start)
-        # the top 53 bits of each raw word, as Generator.integers(0, 2**53) takes
-        # them, shifted half a lattice cell: strictly inside (0, 1)
-        raw = bitgen.random_raw(k)
-        raw >>= 11
-        p = np.add(raw.view(np.int64), 0.5, out=u[:k])
-        del raw  # freed before the next block's words are drawn
-        p *= 2.0 ** -53
-        x = inv_norm_cdf(p, out=z[:k])
-        x *= scaled.sigma
-        x += scaled.nu
-        yield np.exp(x, out=x)
+        yield _block_prices(scaled, seed, start, min(_BLOCK, n - start))[0]
 
 
 def sample_prices(scaled: ScaledParams, n: int, seed: int) -> PriceSample:
     """Deterministic lognormal sample for the given seed."""
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
+    _check_seed(seed)
     values = np.empty(n)
-    for start, block in zip(range(0, n, _BLOCK), _price_blocks(scaled, n, seed)):
-        values[start:start + block.size] = block
+
+    def fill(start, k):
+        _block_prices(scaled, seed, start, k, out=values[start:start + k])
+
+    _fan_out(fill, n)
     return PriceSample(values=values, seed=seed, n=n)
 
 
 def _blocks(x: np.ndarray):
     return (x[start:start + _BLOCK] for start in range(0, x.size, _BLOCK))
+
+
+def _sums(d: np.ndarray, ref: float) -> tuple[float, float]:
+    """The sums of d - ref and (d - ref)**2; d is scratch and is overwritten."""
+    d -= ref
+    return float(np.sum(d)), float(np.sum(np.square(d, out=d)))
 
 
 class _Moments:
@@ -109,10 +176,13 @@ class _Moments:
         """Feed one block; d is scratch and is overwritten."""
         if self.n == 0:
             self.ref = float(d[0])
-        d -= self.ref
-        self.s1 += float(np.sum(d))
-        self.s2 += float(np.sum(np.square(d, out=d)))
-        self.n += d.size
+        self.add_sums(d.size, *_sums(d, self.ref))
+
+    def add_sums(self, k: int, s1: float, s2: float) -> None:
+        """Feed the _sums of one block of k values about ref."""
+        self.s1 += s1
+        self.s2 += s2
+        self.n += k
 
     def estimate(self) -> McEstimate:
         n, s1 = self.n, self.s1
@@ -128,16 +198,42 @@ def _estimate(x: np.ndarray) -> McEstimate:
     return acc.estimate()
 
 
+def _censored(b, b_tilde, m, r, profit):
+    """min(b, b_tilde) into m and, if `profit`, its reciprocal into r."""
+    m = np.minimum(b, b_tilde, out=m)
+    return (m, np.reciprocal(m, out=r)) if profit else (m,)
+
+
 def _censored_estimates(blocks, b_tilde: float, profit: bool = True):
     """Estimates of E[min(b, b_tilde)] and, if `profit`, E[1 / min(b, b_tilde)] over blocks of b."""
-    mart, prof = _Moments(), _Moments()
+    accs = [_Moments() for _ in range(1 + profit)]
     m, r = np.empty(_BLOCK), np.empty(_BLOCK)
     for b in blocks:
-        mk = np.minimum(b, b_tilde, out=m[:b.size])
-        if profit:
-            prof.add(np.reciprocal(mk, out=r[:b.size]))
-        mart.add(mk)
-    return mart.estimate(), prof.estimate() if profit else None
+        for acc, d in zip(accs, _censored(b, b_tilde, m[:b.size], r[:b.size], profit)):
+            acc.add(d)
+    return accs[0].estimate(), accs[1].estimate() if profit else None
+
+
+def _stream_estimates(scaled: ScaledParams, n: int, seed: int, b_tilde: float,
+                      profit: bool = True):
+    """_censored_estimates over the n prices of the seed's stream, drawn by _fan_out."""
+    accs = [_Moments() for _ in range(1 + profit)]
+
+    def censored(start, k):
+        b, scratch = _block_prices(scaled, seed, start, k)
+        return _censored(b, b_tilde, b, scratch, profit)
+
+    def sums(start, k):
+        return [(k, *_sums(d, acc.ref)) for acc, d in zip(accs, censored(start, k))]
+
+    # block 0 first: its first values are the reference of every block's sums
+    for acc, d in zip(accs, censored(0, min(n, _BLOCK))):
+        acc.add(d)
+    del d  # block 0's scratch, not held through the fan-out
+    for block in _fan_out(sums, n, first=_BLOCK):
+        for acc, block_sums in zip(accs, block):
+            acc.add_sums(*block_sums)
+    return accs[0].estimate(), accs[1].estimate() if profit else None
 
 
 def mc_censored_mean(sample: PriceSample, beta: float) -> McEstimate:
@@ -158,8 +254,9 @@ def mc_martingale_check(scaled: ScaledParams, n: int, seed: int) -> McEstimate:
     """E[min(b, b_tilde)] estimate; deviation from 1 is the headline check."""
     if n < 10_000:
         raise DomainError(f"n must be at least 10^4, got {n}")
+    _check_seed(seed)
     beta = censor_price(scaled.mu, scaled.sigma)
-    return _censored_estimates(_price_blocks(scaled, n, seed), beta, profit=False)[0]
+    return _stream_estimates(scaled, n, seed, beta, profit=False)[0]
 
 
 class BruteForceResult(NamedTuple):
@@ -242,8 +339,9 @@ def run_verification(scaled: ScaledParams, n: int, seed: int) -> VerificationRep
     """Martingale, profit and brute-force cross-checks in one pass."""
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
+    _check_seed(seed)
     sol = solve_normal_censor(scaled.mu, scaled.sigma)
-    mart, prof = _censored_estimates(_price_blocks(scaled, n, seed), sol.b_tilde)
+    mart, prof = _stream_estimates(scaled, n, seed, sol.b_tilde)
     g = expected_profit(scaled.mu, scaled.sigma, sol.w)
     bf = brute_force_optimal_u(scaled)
     return VerificationReport(

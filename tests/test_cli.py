@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import censor_lab
 from censor_lab.censor import solve_normal_censor
 from censor_lab.cli import (
     EXIT_NUMERICAL,
@@ -284,6 +287,11 @@ class TestMcCheckCommand:
         code, _, _ = run(capsys, "mc-check", "--n", "20000")
         assert code == EXIT_USAGE
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "mc-check", "--n", "20000", "--seed", "-1")
+        assert code == EXIT_USAGE
+        assert "seed" in err and "-1" in err
+
     def test_layers_do_not_leak_into_the_next_call(self, capsys, monkeypatch, tmp_path):
         # main keeps one parser across calls: each call's layered seed goes
         # with it
@@ -359,17 +367,29 @@ class TestConfigLayer:
         assert code == EXIT_USAGE
 
 
+def _child_env():
+    """The environment, with the directory censor_lab was imported from first on PYTHONPATH.
+
+    pytest's `pythonpath` setting reaches this process only, so an uninstalled
+    checkout's child process needs it spelled out.
+    """
+    src = str(Path(censor_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntrypoint:
     def test_installed_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "censor_lab.cli", "censor",
              "--mu", "0.05", "--sigma", "0.3", "--json"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["u"] > 0.0
 
     def test_unknown_flag_is_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "censor_lab.cli", "censor", "--bogus"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == EXIT_USAGE

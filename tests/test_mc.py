@@ -1,13 +1,16 @@
 """Monte Carlo layer: determinism, distributional sanity, and the
 brute-force policy search agreeing with the closed-form quantity."""
 
+import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from censor_lab import censor, mc
+from censor_lab import censor, cli, mc
 from censor_lab.censor import solve_normal_censor
 from censor_lab.errors import DomainError
 from censor_lab.mc import (
@@ -16,6 +19,7 @@ from censor_lab.mc import (
     _censored_estimates,
     _estimate,
     _price_blocks,
+    _stream_estimates,
     brute_force_optimal_u,
     mc_censored_mean,
     mc_expected_profit,
@@ -70,6 +74,18 @@ class TestSampling:
     def test_n_validation(self):
         with pytest.raises(DomainError):
             sample_prices(SCALED, 0, SEED)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, None, True, "1"])
+    def test_seed_validation(self, seed):
+        for draw in (lambda: sample_prices(SCALED, 10, seed),
+                     lambda: run_verification(SCALED, 10, seed),
+                     lambda: mc_martingale_check(SCALED, 10_000, seed)):
+            with pytest.raises(DomainError, match=f"seed .*got {seed!r}"):
+                draw()
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1, np.uint64(7)])
+    def test_seed_range_ends_accepted(self, seed):
+        assert sample_prices(SCALED, 10, seed).n == 10
 
 
 class TestEstimators:
@@ -297,3 +313,86 @@ class TestBlockStream:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Pins the stream's worker count: workers(k)."""
+    return lambda k: monkeypatch.setattr(mc, "_WORKERS", k)
+
+
+class TestParallelStream:
+    @pytest.mark.parametrize("n", [1, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   3 * _BLOCK + 17, 10**6])
+    @pytest.mark.parametrize("seed", [1, 42, 12345])
+    def test_same_bits_for_any_worker_count(self, workers, n, seed):
+        b_tilde = solve_normal_censor(SCALED.mu, SCALED.sigma).b_tilde
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many thread switches while the blocks run
+        try:
+            for k in (1, 2, 3, 5):
+                workers(k)
+                results.append((sample_prices(SCALED, n, seed).values,
+                                _stream_estimates(SCALED, n, seed, b_tilde),
+                                mc_martingale_check(SCALED, n, seed) if n >= 10_000 else None))
+        finally:
+            sys.setswitchinterval(interval)
+        values, estimates, martingale = results[0]
+        for other_values, other_estimates, other_martingale in results[1:]:
+            assert np.array_equal(other_values, values)
+            assert other_estimates == estimates
+            assert other_martingale == martingale
+        # one worker draws the blocks one after another, as the serial stream does
+        assert np.array_equal(np.concatenate(list(_price_blocks(SCALED, n, seed))), values)
+        assert estimates == _censored_estimates(_price_blocks(SCALED, n, seed), b_tilde)
+
+    def test_fully_censored_zero_standard_error(self, workers):
+        workers(3)
+        b_tilde = 1e-9
+        mart, prof = _stream_estimates(SCALED, 3 * _BLOCK + 17, SEED, b_tilde)
+        assert mart.mean == b_tilde and mart.std_error == 0.0
+        assert prof.mean == 1.0 / b_tilde and prof.std_error == 0.0
+
+    def test_no_thread_outlives_the_call(self, workers):
+        workers(3)
+        before = threading.active_count()
+        run_verification(SCALED, 3 * _BLOCK + 17, SEED)
+        sample_prices(SCALED, 3 * _BLOCK + 17, SEED)
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller(self, workers, monkeypatch):
+        workers(3)
+        third_block_head = _generator_uniforms(SEED, 2 * _BLOCK + 1)[-1]
+
+        def fail_on_third_block(p, out=None):
+            if p[0] == third_block_head:
+                raise DomainError("third block")
+            return inv_norm_cdf(p, out=out)
+
+        monkeypatch.setattr(mc, "inv_norm_cdf", fail_on_third_block)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="third block"):
+            run_verification(SCALED, 6 * _BLOCK, SEED)
+        with pytest.raises(DomainError, match="third block"):
+            sample_prices(SCALED, 6 * _BLOCK, SEED)
+        assert threading.active_count() == before
+
+    def test_workers_keep_the_callers_errstate(self, workers):
+        # sigma = 40 takes most prices below the normal range
+        workers(3)
+        wide = ScaledParams(mu=0.05, sigma=40.0)
+        assert np.all(sample_prices(wide, 3 * _BLOCK, SEED).values >= 0.0)
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            sample_prices(wide, 3 * _BLOCK, SEED)
+
+    @pytest.mark.parametrize("seed", ["1", "42"])
+    def test_mc_check_json_bytes(self, workers, capsys, seed):
+        outputs = []
+        for k in (1, 2):
+            workers(k)
+            code = cli.main(["mc-check", "--n", "1000000", "--seed", seed, "--json"])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["n"] == 10**6
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFICATION)
