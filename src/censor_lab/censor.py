@@ -10,7 +10,8 @@ b_tilde = exp(sigma*W + mu - sigma^2/2) > 1, and with revenue
 f(x) = 2*sqrt(x) the optimal forward quantity is u = b_tilde^(-2).
 
 ``solve_normal_censor`` solves one (mu, sigma) pair with scalar
-arithmetic: bracket, brentq and a Newton polish on the F-residual.
+arithmetic: bracket, Brent's method (``roots.brentq``) and a Newton
+polish on the F-residual.
 ``solve_normal_censor_array`` solves whole arrays of pairs at once, for
 the callers that sweep a horizon grid: Newton on the concave
 log F + mu from the best of three seeds, which at the small-sigma end
@@ -27,10 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
+from .roots import brentq
 from .special import (
     INV_SQRT_2PI,
     SQRT2,
@@ -172,15 +173,8 @@ def solve_normal_censor(mu: float, sigma: float) -> CensorSolution:
         raise DomainError(
             f"mu = {mu} too small for the scalar solver: exp(-mu) rounds to 1")
 
-    # brentq re-evaluates the bracket ends and returns one of its points,
-    # so each F-value is kept for the polish below
-    seen: dict[float, float] = {}
-
     def g(w: float) -> float:
-        r = seen.get(w)
-        if r is None:
-            r = seen[w] = censor_F(w, sigma) - target
-        return r
+        return censor_F(w, sigma) - target
 
     # bracket by geometric expansion around the asymptotic seed
     w0 = _seed(mu, sigma)
@@ -204,15 +198,13 @@ def solve_normal_censor(mu: float, sigma: float) -> CensorSolution:
             raise ConvergenceError(f"no upper bracket for (mu={mu}, sigma={sigma})")
 
     if glo == 0.0 or ghi == 0.0:
-        # brentq would return this end too, but with its iteration count unset
-        w, iterations = (lo if glo == 0.0 else hi), expansions
+        w, r, steps = (lo, glo, 0) if glo == 0.0 else (hi, ghi, 0)
     else:
-        w, info = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16,
-                         maxiter=MAX_ITER, full_output=True)
-        iterations = expansions + info.iterations
+        w, r, steps = brentq(g, lo, hi, glo, ghi, xtol=1e-14, rtol=8.9e-16,
+                             maxiter=MAX_ITER, mu=mu, sigma=sigma)
+    iterations = expansions + steps
 
     # Newton polish on the F-residual down to the machine floor
-    r = g(w)
     residual = abs(r)
     for _ in range(6):
         if residual == 0.0:

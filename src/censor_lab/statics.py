@@ -15,22 +15,25 @@ the dispersion kappa = mu_bar / sigma_bar^2 is at least 1/2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .censor import log_censor_F, solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams
+from .roots import brentq
 from .special import (SQRT_2PI, exp_or_inf, hazard, log_norm_cdf,
                       log_norm_cdf_complement)
 
 HAZARD_STEP = 1e-6  # the hazard-identity oracle's central-difference step
 OMEGA_BRACKET = (-0.5, 1.5)  # contains omega(sigma), which lies in [0, 1]
+# omega_curve's objective is O(sigma) with an O(eps) rounding error, so its root
+# is placed only to ~eps/sigma (at most 1.4*eps/sigma against mpmath), while
+# omega ~ 0.062*sigma at small sigma: the floor keeps that error below 0.1%.
+OMEGA_SIGMA_MIN = math.sqrt(1.4 * float(np.finfo(float).eps) / (0.062 * 1e-3))  # ~2.2e-6
 SHAPE_THETA_RANGE = (1e-3, 1e3)  # the log theta grid of censor_shape_check
 
 
@@ -92,23 +95,26 @@ def hazard_identity_residual(mu: float, sigma: float) -> float:
 def omega_curve(sigma: float) -> float:
     """Unique root w = omega(sigma) of exp(-sigma*H(sigma - w)/2) = F(w, sigma).
 
-    Solved in log space by brentq on OMEGA_BRACKET, which contains the
-    root's range [0, 1]; a root outside it is reported, not searched for.
+    Solved in log space by Brent's method (``roots.brentq``) on
+    OMEGA_BRACKET, which contains the root's range [0, 1]; a root outside it
+    is reported, not searched for.  Below OMEGA_SIGMA_MIN the root would be
+    rounding noise, and a DomainError is raised.
     """
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not sigma >= OMEGA_SIGMA_MIN:
+        raise DomainError(
+            f"omega_curve needs sigma >= {OMEGA_SIGMA_MIN:.3g}, got {sigma}: below it the "
+            "root is placed only to ~eps/sigma, against omega ~ 0.062*sigma")
 
-    # brentq reads the bracket ends back from the cache
-    @functools.cache
     def g(w: float) -> float:
         return -0.5 * sigma * hazard(sigma - w) - log_censor_F(w, sigma)
 
     lo, hi = OMEGA_BRACKET
-    if g(lo) * g(hi) > 0.0:
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo * g_hi > 0.0:
         raise ConvergenceError(
             f"omega root left the bracket {OMEGA_BRACKET} at sigma={sigma}: "
-            f"g(lo)={g(lo):.3e}, g(hi)={g(hi):.3e}")
-    return brentq(g, lo, hi, xtol=1e-13)
+            f"g(lo)={g_lo:.3e}, g(hi)={g_hi:.3e}")
+    return brentq(g, lo, hi, g_lo, g_hi, xtol=1e-13, sigma=sigma)[0]
 
 
 def omega_sweep(sigmas) -> np.ndarray:
@@ -143,8 +149,8 @@ def stationarity_solve(kappa: float | None = None,
     """Solve mu = sigma*H(sigma - W(mu, sigma))/2 jointly with mu = kappa*sigma^2.
 
     mu is eliminated through the parabola constraint and the single
-    remaining equation in sigma is solved by brentq between the crude
-    under- and over-estimates of ``_crude_bracket``.  That bracket is
+    remaining equation in sigma is solved by Brent's method between the
+    crude under- and over-estimates of ``_crude_bracket``.  That bracket is
     checked, not widened: a residual of the wrong sign at either end
     raises a ConvergenceError, which a sweep of kappa in the tests sees
     only where the drift cap binds (kappa below ~0.5015).  Each sigma is
@@ -170,23 +176,23 @@ def stationarity_solve(kappa: float | None = None,
         return StationaritySolution(kappa=kappa, sigma_star=None, mu_star=None,
                                     theta_star_b=None, exists=True)
 
-    # brentq reads the bracket ends back and returns one of its points
-    @functools.cache
     def f(sigma: float) -> float:
         return _stationarity_residual(kappa, sigma)
 
     lo, hi, sigma_cap = _crude_bracket(kappa)
-    if not f(lo) > 0.0:
+    f_lo = f(lo)
+    if not f_lo > 0.0:
         raise ConvergenceError(f"no positive lower bracket for kappa={kappa}")
-    if not f(hi) < 0.0:
+    f_hi = f(hi)
+    if not f_hi < 0.0:
         raise ConvergenceError(
             f"stationary point for kappa={kappa} lies beyond sigma = {hi:.3g}, the crude "
             f"upper bound capped at {sigma_cap:.3g} to keep mu solvable; "
             "kappa is too close to 1/2")
 
-    sigma_star = brentq(f, lo, hi, xtol=1e-12)
+    sigma_star, f_star, _ = brentq(f, lo, hi, f_lo, f_hi, xtol=1e-12, kappa=kappa)
     mu_star = kappa * sigma_star * sigma_star
-    residual = abs(f(sigma_star))
+    residual = abs(f_star)
     theta = mu_star / params.mu_bar if params is not None else None
     return StationaritySolution(kappa=kappa, sigma_star=sigma_star,
                                 mu_star=mu_star, theta_star_b=theta,

@@ -4,12 +4,12 @@ The revenue over the unit interval is R(theta) = theta + (1 - theta) *
 g_bar(theta); the first-order condition is solved exactly by scanning
 R' = 1 - g_bar + (1 - theta) * g_bar' for its first sign change, in one
 call of the array censor kernel over the scan grid, and refining that
-bracket by brentq on scalar solves.  As R'(0+) = sigma_bar^2 > 0, a first
-sign change from + to - is a local maximum of R.  The last scalar solve
-gives R(theta*) and the FOC residual, so no horizon is solved twice.  The
-two simplified closed-form cases (substitute profit models
-1 + A*theta*exp(-alpha*theta) and exp(alpha*theta)) are exposed
-separately in terms of alpha alone.
+bracket by Brent's method (``roots.brentq``) on scalar solves.  As
+R'(0+) = sigma_bar^2 > 0, a first sign change from + to - is a local
+maximum of R.  The last scalar solve gives R(theta*) and the FOC residual,
+so no horizon is solved twice.  The two simplified closed-form cases
+(substitute profit models 1 + A*theta*exp(-alpha*theta) and
+exp(alpha*theta)) are exposed separately in terms of alpha alone.
 
 g_bar' has a closed form.  Differentiating F(W, sigma) = exp(-mu)
 implicitly gives the total derivatives of g(mu, sigma) along the censor,
@@ -33,12 +33,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .censor import solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
 from .profit import expected_profit, g_bar
+from .roots import brentq
 from .special import exp_or_inf, log_norm_cdf
 
 ENDPOINT_MARGIN = 1e-9
@@ -124,8 +124,8 @@ def solve_foc(params: ModelParams) -> TimingSolution:
             f"for {params}; a maximum is guaranteed for valid inputs")
     i = hits[0]
 
-    # cached, as brentq evaluates the checked bracket ends again and theta*
-    # is one of its points: each horizon is solved once
+    # cached, as the bracket ends are read again for brentq, and g_bar and
+    # g_bar' are read at theta*, one of its points: each horizon is solved once
     @functools.cache
     def at(theta: float) -> _Horizon:
         return _horizon(theta, params)
@@ -140,7 +140,8 @@ def solve_foc(params: ModelParams) -> TimingSolution:
             raise ConvergenceError(
                 "the scalar solves do not confirm the scan's sign change of R' "
                 f"on [{lo}, {hi}] for {params}")
-        theta_star = brentq(r_prime, lo, hi, xtol=1e-12)
+        theta_star = brentq(r_prime, lo, hi, r_prime(lo), r_prime(hi), xtol=1e-12,
+                            params=params)[0]
     g, g_prime = at(theta_star)
 
     if not g_prime > 0.0:
@@ -186,6 +187,6 @@ def theta_case_ii(alpha: float) -> CaseIIResult:
     def f(theta: float) -> float:
         return -math.expm1(-alpha * theta) / alpha - (1.0 - theta)
 
-    exact = brentq(f, 0.0, 1.0, xtol=1e-15)
+    exact = brentq(f, 0.0, 1.0, f(0.0), f(1.0), xtol=1e-15, alpha=alpha)[0]
     approx = 1.0 / (1.0 + math.sqrt(1.0 - 0.5 * alpha)) if alpha < 2.0 else None
     return CaseIIResult(exact=exact, approx=approx)

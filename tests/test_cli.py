@@ -393,3 +393,31 @@ class TestEntrypoint:
             [sys.executable, "-m", "censor_lab.cli", "censor", "--bogus"],
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == EXIT_USAGE
+
+    def test_commands_load_no_scipy_optimize(self, tmp_path):
+        # the root finds are in-house, so neither scipy.optimize nor the
+        # scipy.linalg it pulls in is loaded, at import or by any command
+        commands = [["figures", "--out", str(tmp_path)],
+                    ["timing", "--mu-bar", "0.05", "--sigma2-bar", "0.07"],
+                    ["statics", "--omega-sweep", "0.5:2.5:5"],
+                    ["mc-check", "--n", "10000"]]
+        code = f"""
+import contextlib, io, json, sys
+import censor_lab, censor_lab.cli
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules]
+
+seen = [["import", 0, loaded()]]
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([argv[0], censor_lab.cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert [step for step, _, _ in seen] == ["import", "figures", "timing",
+                                                 "statics", "mc-check"]
+        assert all(status == EXIT_OK and not loaded for _, status, loaded in seen), seen

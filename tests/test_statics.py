@@ -183,8 +183,31 @@ class TestOmegaCurve:
         with pytest.raises(DomainError):
             omega_curve(0.0)
 
+    @pytest.mark.parametrize("sigma", [1e-2, 1e-4])
+    def test_small_sigma_against_mpmath(self, sigma):
+        # the root is placed to ~eps/sigma, the bound OMEGA_SIGMA_MIN is drawn from
+        with mpmath.workdps(50):
+            s = mpmath.mpf(sigma)
+
+            def g(w):
+                x = s - w
+                log_f = mpmath.log(mpmath.ncdf(w - s) + mpmath.exp(s * w - s * s / 2)
+                                   * mpmath.ncdf(-w))
+                return -s / 2 * mpmath.npdf(x) / mpmath.ncdf(-x) - log_f
+
+            want = float(mpmath.findroot(g, 0.062 * s))
+        assert abs(omega_curve(sigma) - want) <= 2.0 * np.finfo(float).eps / sigma
+        assert want == pytest.approx(0.062 * sigma, rel=1e-2)
+
+    def test_refused_below_the_rounding_floor(self):
+        # at sigma = 1e-8 the solve returned -1.1e-8, outside omega's range [0, 1]
+        assert 1e-6 < statics_module.OMEGA_SIGMA_MIN < 1e-5
+        omega_curve(statics_module.OMEGA_SIGMA_MIN)
+        with pytest.raises(DomainError, match="sigma >= "):
+            omega_curve(1e-8)
+
     def test_bracket_ends_evaluated_once(self, monkeypatch):
-        # brentq reads the sign check's two end values back from the cache
+        # brentq takes the sign check's two end values from its caller
         calls, log_censor_F = [], statics_module.log_censor_F
 
         def counting(w, sigma):
