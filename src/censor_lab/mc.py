@@ -15,15 +15,17 @@ from raw Philox words to uniforms, ndtri normals and prices.  Philox is
 counter-based, so each block starts its own generator at its offset of
 the stream, and the blocks are spread over a pool of threads (numpy and
 scipy release the GIL in the ufuncs), one per CPU this process may run
-on, at most 3, and no more than the blocks.  `run_verification` folds
-block 0 first, then each other block returns its sums about the first
-values, and the sums are added in block order: the estimates are the
-same bits for any worker count, and the memory is O(workers x block),
-about 1.1 MB traced per worker and 3.3 MB at the cap, for any n.
-Moments are taken about the first value, so a constant (fully censored)
-sample has mean equal to it and standard error exactly 0.0.
-`sample_prices` draws each block into its own slice of the sample, and
-the estimators on a materialized sample match the stream bit for bit.
+on, at most 3, and no more than the blocks.  Each block is
+self-contained: it returns its count, mean and sum of squared
+deviations about its own mean, and the blocks are merged in block order
+by the pairwise update of Chan, Golub and LeVeque (The American
+Statistician 37(3), 1983).  So the estimates are the same bits for any
+worker count, a far outlier costs the other values no digits, and the
+memory is O(workers x block), about 1.1 MB traced per worker and 3.3 MB
+at the cap, for any n.  A constant (fully censored) sample has mean
+equal to its value and standard error exactly 0.0.  `sample_prices`
+draws each block into its own slice of the sample, and the estimators
+on a materialized sample match the stream bit for bit.
 """
 
 from __future__ import annotations
@@ -87,9 +89,15 @@ class McEstimate:
         return abs(self.mean - reference) / self.std_error
 
 
-def _check_seed(seed) -> None:
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-            and 0 <= seed < 2**128):
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_draw(n, seed, n_min: int = 1) -> None:
+    """DomainError unless n is an int of at least n_min and seed an int in [0, 2**128)."""
+    if not (_is_int(n) and n >= n_min):
+        raise DomainError(f"n must be an int of at least {n_min}, got {n!r}")
+    if not (_is_int(seed) and 0 <= seed < 2**128):
         raise DomainError(f"seed must be an int in [0, 2**128), got {seed!r}")
 
 
@@ -114,14 +122,14 @@ def _block_prices(scaled: ScaledParams, seed: int, start: int, k: int, out=None)
     return np.exp(x, out=x), p
 
 
-def _fan_out(task, n: int, first: int = 0) -> list:
-    """task(start, k) for each block [start, start + k) of values first .. n - 1, in block order.
+def _fan_out(task, n: int) -> list:
+    """task(start, k) for each block [start, start + k) of values 0 .. n - 1, in block order.
 
     The blocks are spread over min(_WORKERS, blocks) threads of a pool
     that lives for the call only; each task runs under the caller's
     numpy errstate, a context variable the threads do not inherit.
     """
-    starts = range(first, n, _BLOCK)
+    starts = range(0, n, _BLOCK)
     sizes = [min(_BLOCK, n - start) for start in starts]
     workers = min(_WORKERS, len(starts))
     if workers <= 1:
@@ -144,9 +152,7 @@ def _price_blocks(scaled: ScaledParams, n: int, seed: int):
 
 def sample_prices(scaled: ScaledParams, n: int, seed: int) -> PriceSample:
     """Deterministic lognormal sample for the given seed."""
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
-    _check_seed(seed)
+    _check_draw(n, seed)
     values = np.empty(n)
 
     def fill(start, k):
@@ -160,80 +166,67 @@ def _blocks(x: np.ndarray):
     return (x[start:start + _BLOCK] for start in range(0, x.size, _BLOCK))
 
 
-def _sums(d: np.ndarray, ref: float) -> tuple[float, float]:
-    """The sums of d - ref and (d - ref)**2; d is scratch and is overwritten."""
-    d -= ref
-    return float(np.sum(d)), float(np.sum(np.square(d, out=d)))
+def _stats(d: np.ndarray) -> tuple[int, float, float]:
+    """Count, mean and M2, the sum of squared deviations about the mean, of one block.
+
+    Two passes about the block's own mean, the deviations corrected by
+    their own mean for the rounding of the first pass; d is scratch and
+    is overwritten.  A constant block gets its value and M2 = 0.0 exactly.
+    """
+    k = d.size
+    mean = float(np.sum(d)) / k
+    d -= mean
+    shift = float(np.sum(d)) / k
+    d -= shift
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        return k, mean + shift, float(np.sum(np.square(d, out=d)))
 
 
-class _Moments:
-    """Count, first value ref and the sums of d and d**2, d = x - ref, over blocks fed."""
-
-    def __init__(self):
-        self.n, self.ref, self.s1, self.s2 = 0, 0.0, 0.0, 0.0
-
-    def add(self, d: np.ndarray) -> None:
-        """Feed one block; d is scratch and is overwritten."""
-        if self.n == 0:
-            self.ref = float(d[0])
-        self.add_sums(d.size, *_sums(d, self.ref))
-
-    def add_sums(self, k: int, s1: float, s2: float) -> None:
-        """Feed the _sums of one block of k values about ref."""
-        self.s1 += s1
-        self.s2 += s2
-        self.n += k
-
-    def estimate(self) -> McEstimate:
-        n, s1 = self.n, self.s1
-        var = max(self.s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
-        return McEstimate(mean=self.ref + s1 / n, std_error=math.sqrt(var) / math.sqrt(n), n=n)
+def _merge(stats) -> McEstimate:
+    """The estimate over blocks' (k, mean, M2), combined in block order by Chan et al.'s update."""
+    stats = iter(stats)
+    n, mean, m2 = next(stats)
+    for k, block_mean, block_m2 in stats:
+        delta = block_mean - mean
+        n += k
+        mean += delta * k / n
+        m2 += block_m2 + delta * delta * ((n - k) * k / n)
+    var = m2 / (n - 1) if n > 1 else 0.0
+    return McEstimate(mean=mean, std_error=math.sqrt(var) / math.sqrt(n), n=n)
 
 
 def _estimate(x: np.ndarray) -> McEstimate:
     """Mean and standard error of x; x is a scratch array and is overwritten."""
-    acc = _Moments()
-    for block in _blocks(x):
-        acc.add(block)
-    return acc.estimate()
+    return _merge(_stats(block) for block in _blocks(x))
 
 
-def _censored(b, b_tilde, m, r, profit):
-    """min(b, b_tilde) into m and, if `profit`, its reciprocal into r."""
+def _censored_stats(b, b_tilde, m, r, profit):
+    """_stats of min(b, b_tilde), into m, and, if `profit`, of its reciprocal, into r."""
     m = np.minimum(b, b_tilde, out=m)
-    return (m, np.reciprocal(m, out=r)) if profit else (m,)
+    return [_stats(d) for d in ((m, np.reciprocal(m, out=r)) if profit else (m,))]
+
+
+def _merged(block_stats, profit: bool):
+    """The _censored_estimates of the blocks' _censored_stats, merged in block order."""
+    merged = [_merge(stats) for stats in zip(*block_stats)]
+    return merged[0], merged[1] if profit else None
 
 
 def _censored_estimates(blocks, b_tilde: float, profit: bool = True):
     """Estimates of E[min(b, b_tilde)] and, if `profit`, E[1 / min(b, b_tilde)] over blocks of b."""
-    accs = [_Moments() for _ in range(1 + profit)]
     m, r = np.empty(_BLOCK), np.empty(_BLOCK)
-    for b in blocks:
-        for acc, d in zip(accs, _censored(b, b_tilde, m[:b.size], r[:b.size], profit)):
-            acc.add(d)
-    return accs[0].estimate(), accs[1].estimate() if profit else None
+    return _merged([_censored_stats(b, b_tilde, m[:b.size], r[:b.size], profit)
+                    for b in blocks], profit)
 
 
 def _stream_estimates(scaled: ScaledParams, n: int, seed: int, b_tilde: float,
                       profit: bool = True):
     """_censored_estimates over the n prices of the seed's stream, drawn by _fan_out."""
-    accs = [_Moments() for _ in range(1 + profit)]
-
-    def censored(start, k):
+    def stats(start, k):
         b, scratch = _block_prices(scaled, seed, start, k)
-        return _censored(b, b_tilde, b, scratch, profit)
+        return _censored_stats(b, b_tilde, b, scratch, profit)
 
-    def sums(start, k):
-        return [(k, *_sums(d, acc.ref)) for acc, d in zip(accs, censored(start, k))]
-
-    # block 0 first: its first values are the reference of every block's sums
-    for acc, d in zip(accs, censored(0, min(n, _BLOCK))):
-        acc.add(d)
-    del d  # block 0's scratch, not held through the fan-out
-    for block in _fan_out(sums, n, first=_BLOCK):
-        for acc, block_sums in zip(accs, block):
-            acc.add_sums(*block_sums)
-    return accs[0].estimate(), accs[1].estimate() if profit else None
+    return _merged(_fan_out(stats, n), profit)
 
 
 def mc_censored_mean(sample: PriceSample, beta: float) -> McEstimate:
@@ -252,9 +245,7 @@ def mc_expected_profit(sample: PriceSample, b_tilde: float) -> McEstimate:
 
 def mc_martingale_check(scaled: ScaledParams, n: int, seed: int) -> McEstimate:
     """E[min(b, b_tilde)] estimate; deviation from 1 is the headline check."""
-    if n < 10_000:
-        raise DomainError(f"n must be at least 10^4, got {n}")
-    _check_seed(seed)
+    _check_draw(n, seed, n_min=10_000)
     beta = censor_price(scaled.mu, scaled.sigma)
     return _stream_estimates(scaled, n, seed, beta, profit=False)[0]
 
@@ -300,7 +291,8 @@ def brute_force_optimal_u(scaled: ScaledParams, u_points: int = 400,
 
     q = (np.arange(quad_points) + 0.5) / quad_points
     b = np.exp(scaled.nu + scaled.sigma * inv_norm_cdf(q))
-    b_inv2 = b ** -2.0
+    with np.errstate(over="ignore"):  # b**-2 past the float range is inf
+        b_inv2 = b ** -2.0
     order = np.argsort(b_inv2, kind="stable")
     b_inv2_sorted = b_inv2[order]
     b_desc = b[order[::-1]]
@@ -337,9 +329,7 @@ class VerificationReport:
 
 def run_verification(scaled: ScaledParams, n: int, seed: int) -> VerificationReport:
     """Martingale, profit and brute-force cross-checks in one pass."""
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
-    _check_seed(seed)
+    _check_draw(n, seed)
     sol = solve_normal_censor(scaled.mu, scaled.sigma)
     mart, prof = _stream_estimates(scaled, n, seed, sol.b_tilde)
     g = expected_profit(scaled.mu, scaled.sigma, sol.w)

@@ -83,6 +83,14 @@ class TestSampling:
             with pytest.raises(DomainError, match=f"seed .*got {seed!r}"):
                 draw()
 
+    @pytest.mark.parametrize("n", [1000.5, 20000.0, "20000", None, True])
+    def test_n_type_validation(self, n):
+        for draw in (lambda: sample_prices(SCALED, n, SEED),
+                     lambda: run_verification(SCALED, n, SEED),
+                     lambda: mc_martingale_check(SCALED, n, SEED)):
+            with pytest.raises(DomainError, match=f"n .*got {n!r}"):
+                draw()
+
     @pytest.mark.parametrize("seed", [0, 2**128 - 1, np.uint64(7)])
     def test_seed_range_ends_accepted(self, seed):
         assert sample_prices(SCALED, 10, seed).n == 10
@@ -134,6 +142,18 @@ class TestEstimators:
             mc_censored_mean(sample, 0.0)
         with pytest.raises(DomainError):
             mc_expected_profit(sample, -1.0)
+
+    @pytest.mark.parametrize("sigma", [3.0, 4.0])
+    def test_heavy_tail_standard_error(self, sigma):
+        # uncensored 1/b: a few values lie thousands of means out, and
+        # moments about any point but a block's own mean lose digits there
+        for seed in range(10):
+            sample = sample_prices(ScaledParams(mu=0.05, sigma=sigma), N, seed)
+            x = (1.0 / sample.values).astype(np.longdouble)
+            d = x - x.mean()
+            se = float(np.sqrt(np.sum(d * d) / (N - 1) / N))
+            assert mc_expected_profit(sample, math.inf).std_error \
+                == pytest.approx(se, rel=1e-14, abs=0.0), seed
 
     def test_deviation_zero_se(self):
         exact = McEstimate(mean=1.0, std_error=0.0, n=10)
@@ -246,6 +266,16 @@ class TestVerificationReport:
         assert report.profit_deviation_se <= mc.DEFAULT_SE_MULTIPLIER
         assert abs(report.u_brute_force - report.u_analytic) <= report.u_step
         assert report.passed
+
+    def test_no_warning_at_large_variance(self):
+        # sigma = 30: (1/m - mean)**2 and the brute force's b**-2 overflow to
+        # inf, which the suite's warning filters turn into errors if they leak
+        report = run_verification(ScaledParams(mu=0.05, sigma=30.0), 100_000, SEED)
+        assert 0.0 < report.martingale.mean < 1.0
+        assert math.isfinite(report.profit_mc.mean)
+        assert report.profit_mc.std_error == math.inf
+        assert report.profit_closed_form == math.inf
+        assert not report.passed
 
 
 def _stream_uniforms(monkeypatch, seed, n):
