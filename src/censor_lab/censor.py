@@ -9,17 +9,12 @@ which is strictly increasing in w.  The censor price is then
 b_tilde = exp(sigma*W + mu - sigma^2/2) > 1, and with revenue
 f(x) = 2*sqrt(x) the optimal forward quantity is u = b_tilde^(-2).
 
-``solve_normal_censor`` solves one (mu, sigma) pair with scalar
-arithmetic: bracket, Brent's method (``roots.brentq``) and a Newton
-polish on the F-residual.
-``solve_normal_censor_array`` solves whole arrays of pairs at once, for
-the callers that sweep a horizon grid: Newton on the concave
-log F + mu from the best of three seeds, which at the small-sigma end
-is the inverse of the normal loss function, since there
-1 - F ~ sigma*psi(W).  Numpy's per-call overhead makes a 0-d call into
-the array kernel several times slower than the scalar solve, so each
-caller picks the path by the type of its input.  The two paths keep
-separate seed rules for now, so that the scalar W stays bit-identical.
+One algorithm solves it: Newton on the concave h = log F + mu, which
+resolves 1 - F ~ mu where exp(-mu) rounds to 1.
+``solve_normal_censor_array`` runs it over arrays, for the callers that
+sweep a horizon grid, and ``solve_normal_censor`` step for step on
+Python floats, for single points: a 0-d call into the array kernel pays
+numpy's per-call overhead on each of its array operations.
 """
 
 from __future__ import annotations
@@ -28,17 +23,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
-from .roots import brentq
 from .special import (
     INV_SQRT_2PI,
     SQRT2,
     SQRT_2PI,
     exp_or_inf,
     hazard,
-    inv_norm_cdf,
     log_norm_cdf,
     log_norm_cdf_complement,
     norm_cdf,
@@ -55,13 +49,14 @@ _EXP_SWITCH = 50.0
 
 # exp(-mu) must not underflow for the root to be meaningful
 _MU_MAX = 700.0
-# the array kernel's h = log F + mu must not be subnormal
+# below the smallest normal float h = log F + mu is subnormal, its
+# derivative loses its digits and Newton cannot reach W
 _MU_MIN = float(np.finfo(float).tiny)
 
 _EPS = float(np.finfo(float).eps)
 _LOG_2 = math.log(2.0)
 
-# the array kernel takes a left step this small relative to max(1, |w|)
+# the solve takes a left step this small relative to max(1, |w|)
 # as its last: Newton's quadratic convergence leaves an error of order
 # its square, below the rounding level of h
 _LAST_STEP = 1e-10
@@ -74,13 +69,21 @@ def censor_F(w: float, sigma: float) -> float:
     if sigma == 0.0:
         return 1.0
     expo = sigma * w - 0.5 * sigma * sigma
-    # norm_cdf and norm_cdf_complement written out on math.erfc: this is
-    # the scalar solver's inner loop, and the arithmetic is theirs
     if expo > _EXP_SWITCH:
         second = norm_pdf(sigma - w) / hazard(w)
     else:
         second = math.exp(expo) * (0.5 * math.erfc(w / SQRT2))
     return 0.5 * math.erfc(-(w - sigma) / SQRT2) + second
+
+
+def _log_F(w: float, sigma: float) -> tuple[float, float]:
+    """(log F(w, sigma), b) on floats, b the log of F's second term, as np.logaddexp sums them."""
+    a = float(log_ndtr(w - sigma))
+    b = sigma * w - 0.5 * sigma * sigma + float(log_ndtr(-w))
+    if a == b:
+        return a + _LOG_2, b
+    hi, lo = (a, b) if a > b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi)), b
 
 
 def log_censor_F(w: float, sigma: float) -> float:
@@ -89,18 +92,8 @@ def log_censor_F(w: float, sigma: float) -> float:
         raise DomainError(f"log_censor_F needs sigma >= 0 and finite w, got ({w}, {sigma})")
     if sigma == 0.0:
         return 0.0
-    a = log_norm_cdf(w - sigma)
-    b = sigma * w - 0.5 * sigma * sigma + log_norm_cdf_complement(w)
-    hi, lo = (a, b) if a >= b else (b, a)
     # F <= 1, so the log is capped at 0 (the sum can poke above by an ulp)
-    return min(0.0, hi + math.log1p(math.exp(lo - hi)))
-
-
-def _dF_dw(w: float, sigma: float) -> float:
-    # dF/dw = sigma * exp(sigma*w - sigma^2/2) * (1 - Phi(w)); the log
-    # assembly stays finite even where the two factors under/overflow
-    return sigma * math.exp(sigma * w - 0.5 * sigma * sigma
-                            + log_norm_cdf_complement(w))
+    return min(0.0, _log_F(w, sigma)[0])
 
 
 @dataclass(frozen=True)
@@ -119,122 +112,44 @@ class CensorSolution:
     iterations: int
 
 
-def _validate(mu: float, sigma: float) -> None:
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise DomainError(f"mu must be positive and finite, got {mu}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    if mu > _MU_MAX:
-        raise DomainError(f"mu = {mu} too large: exp(-mu) underflows")
+def _in_domain(mu, sigma):
+    """Whether (mu, sigma) lies in the solvers' domain, elementwise on arrays."""
+    return (mu >= _MU_MIN) & (mu <= _MU_MAX) & (sigma > 0.0) & (sigma < math.inf)
 
 
-def mu_hat(mu: float) -> float:
-    """The large-sigma location parameter -Phi^{-1}(exp(-mu)) = Phi^{-1}(1 - exp(-mu)).
+_DOMAIN = f"{_MU_MIN:.4g} <= mu <= {_MU_MAX:g}, 0 < sigma < inf"
 
-    Below mu = log 2 the tail probability 1 - exp(-mu) is taken as
-    -expm1(-mu), so mu_hat stays finite where exp(-mu) rounds to 1
-    (mu below ~1.1e-16); above it exp(-mu) is the small one, and
-    -expm1(-mu) would round to 1 (at mu = 700 it is 1).
+
+def mu_hat(mu):
+    """The large-sigma location parameter -Phi^{-1}(exp(-mu)) = Phi^{-1}(1 - exp(-mu)), elementwise.
+
+    It is -ndtri_exp(-mu): scipy's ndtri_exp takes the quantile of the
+    smaller tail, so mu_hat stays finite where exp(-mu) rounds to 1 (mu
+    below ~1.1e-16) and where 1 - exp(-mu) does (at mu = 700).
     """
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise DomainError(f"mu must be positive and finite, got {mu}")
-    if mu < _LOG_2:
-        return inv_norm_cdf(-math.expm1(-mu))
-    return -inv_norm_cdf(math.exp(-mu))
+    m = -ndtri_exp(-mu)
+    if isinstance(m, np.ndarray):
+        if np.isfinite(m).all():
+            return m
+    elif math.isfinite(m):
+        return float(m)
+    raise DomainError(f"mu must be positive and finite, got {mu!r}")
 
 
-def _seed(mu: float, sigma: float) -> float:
-    """The scalar solver's bracket centre: the large-sigma form or sigma/2 - mu/sigma.
+def _residual(mu, h):
+    """|F - exp(-mu)| as exp(-mu)*|expm1(h)|, without the cancellation near F = 1."""
+    return np.exp(-mu) * np.abs(np.expm1(h))
 
-    It keeps its own -Phi^{-1}(exp(-mu)) rather than ``mu_hat``, and not
-    the array kernel's best-of-three seed, so that the bracket, and with
-    it the scalar W, stays bit-identical: an exact seed saves brentq
-    little, as it narrows the bracket in any case.  One censor algorithm
-    for both paths would merge the two rules.
+
+def _price(mu, sigma, w):
+    """(b_tilde, log b_tilde, u) at W, on floats or on arrays.
+
+    b_tilde > 1 holds mathematically; a log b_tilde below 0 is pure rounding
+    noise from the cancellation sigma*W ~ -mu at tiny sigma, and is clamped.
     """
-    m = -inv_norm_cdf(math.exp(-mu))
-    if sigma > m + 2.0:
-        return sigma - m - 1.0 / (sigma - m)
-    return -mu / sigma + 0.5 * sigma
-
-
-def solve_normal_censor(mu: float, sigma: float) -> CensorSolution:
-    """Solve F(W, sigma) = exp(-mu) for the normal censor W.
-
-    ``residual`` is |F(W, sigma) - exp(-mu)|, held to DEFAULT_TOL as in the
-    array kernel, or a ConvergenceError.  It cannot resolve 1 - F ~ mu where
-    exp(-mu) rounds to 1, so such a mu (below ~1.1e-16) raises a DomainError;
-    the array kernel, which works on log F + mu, solves it.
-    """
-    _validate(mu, sigma)
-
-    target = math.exp(-mu)
-    if target == 1.0:
-        raise DomainError(
-            f"mu = {mu} too small for the scalar solver: exp(-mu) rounds to 1")
-
-    def g(w: float) -> float:
-        return censor_F(w, sigma) - target
-
-    # bracket by geometric expansion around the asymptotic seed
-    w0 = _seed(mu, sigma)
-    step = max(0.5, 0.05 * abs(w0))
-    lo, hi = w0 - step, w0 + step
-    glo, ghi = g(lo), g(hi)
-    expansions = 0
-    while glo > 0.0:
-        step *= 2.0
-        lo -= step
-        glo = g(lo)
-        expansions += 1
-        if expansions > MAX_ITER:
-            raise ConvergenceError(f"no lower bracket for (mu={mu}, sigma={sigma})")
-    while ghi < 0.0:
-        step *= 2.0
-        hi += step
-        ghi = g(hi)
-        expansions += 1
-        if expansions > MAX_ITER:
-            raise ConvergenceError(f"no upper bracket for (mu={mu}, sigma={sigma})")
-
-    if glo == 0.0 or ghi == 0.0:
-        w, r, steps = (lo, glo, 0) if glo == 0.0 else (hi, ghi, 0)
-    else:
-        w, r, steps = brentq(g, lo, hi, glo, ghi, xtol=1e-14, rtol=8.9e-16,
-                             maxiter=MAX_ITER, mu=mu, sigma=sigma)
-    iterations = expansions + steps
-
-    # Newton polish on the F-residual down to the machine floor
-    residual = abs(r)
-    for _ in range(6):
-        if residual == 0.0:
-            break
-        deriv = _dF_dw(w, sigma)
-        if deriv <= 0.0 or not math.isfinite(deriv):
-            break
-        w_next = w - r / deriv
-        r_next = censor_F(w_next, sigma) - target
-        iterations += 1
-        if abs(r_next) >= residual:
-            break
-        w, r, residual = w_next, r_next, abs(r_next)
-    if residual > DEFAULT_TOL:
-        raise ConvergenceError(
-            f"censor residual {residual:.3e} above tol {DEFAULT_TOL:.3e} "
-            f"for (mu={mu}, sigma={sigma})")
-
     log_b = sigma * w + mu - 0.5 * sigma * sigma
-    # b_tilde > 1 holds mathematically; a negative value here is pure
-    # rounding noise from the cancellation sigma*w ~ -mu at tiny sigma
-    log_b = max(log_b, 0.0)
-    return CensorSolution(
-        w=w,
-        b_tilde=exp_or_inf(log_b),
-        log_b_tilde=log_b,
-        u=math.exp(-2.0 * log_b),
-        residual=residual,
-        iterations=iterations,
-    )
+    log_b = np.maximum(log_b, 0.0) if isinstance(log_b, np.ndarray) else max(log_b, 0.0)
+    return exp_or_inf(log_b), log_b, exp_or_inf(-2.0 * log_b)
 
 
 def _loss_inverse(y: np.ndarray) -> np.ndarray:
@@ -265,16 +180,11 @@ def _seed_array(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
       1 - F(w, sigma) = sigma*psi(w) + sigma^2/2*(w*psi(w) + 1 - Phi(w)).
       So W ~ w1 + sigma/2*(1 + w1*(H(w1) - w1)), where psi(w1) = (1 - exp(-mu))/sigma.
     - W ~ d - 1/d with d = sigma - mu_hat(mu), where d > 1.
-
-    mu_hat is computed as in ``mu_hat``, through -expm1(-mu) below log 2.
     """
     lower = 0.5 * sigma - mu / sigma
-    tail = -np.expm1(-mu)
-    below = mu < _LOG_2
-    q = inv_norm_cdf(np.where(below, tail, np.exp(-mu)))
-    d = sigma - np.where(below, q, -q)
-    large = np.where(d > 1.0, d - 1.0 / d, lower)
-    first = _loss_inverse(tail / sigma)
+    d = sigma - mu_hat(mu)
+    large = np.where(d > 1.0, d - 1.0 / d, math.nan)
+    first = _loss_inverse(-np.expm1(-mu) / sigma)
     small = first + 0.5 * sigma * (1.0 + first * (hazard(first) - first))
     return np.stack([lower, small, large])
 
@@ -297,7 +207,7 @@ def _element(mu: np.ndarray, sigma: np.ndarray, i: int) -> str:
 def solve_normal_censor_array(mu, sigma) -> CensorSolution:
     """Solve F(W, sigma) = exp(-mu) elementwise over broadcastable arrays.
 
-    Newton's method on h(w) = log F(w, sigma) + mu.  dF/dw is proportional
+    Newton on h(w) = log F(w, sigma) + mu.  dF/dw is proportional
     to exp(sigma*w)*(1 - Phi(w)), which is log-concave (its log-derivative
     sigma - H(w) decreases), so F, its integral, is log-concave and h is
     concave: from the left of the root Newton climbs monotonically and
@@ -314,25 +224,21 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
     step below _LAST_STEP * max(1, |w|) is taken as its last.  Every pass
     steps the whole array and freezes the finished elements.
 
-    Every element is validated as ``solve_normal_censor`` validates its
-    input, except that mu may go below ~1.1e-16, where exp(-mu) rounds to
-    1, down to the smallest normal float: below that h sits at the
-    subnormal floor, its derivative loses its digits and Newton cannot
-    reach W.  ``residual`` is the same |F - exp(-mu)|, held to DEFAULT_TOL,
-    taken as exp(-mu)*|expm1(h(W))| without the cancellation near F = 1;
-    errors name the offending element by its flat index.  ``iterations``
-    counts the passes that evaluated h at each element, the seed pass
-    included.
+    The domain is _MU_MIN <= mu <= 700 and 0 < sigma < inf: mu may go
+    below ~1.1e-16, where exp(-mu) rounds to 1, down to the smallest
+    normal float.  ``residual`` is |F - exp(-mu)|, held to DEFAULT_TOL,
+    taken as exp(-mu)*|expm1(h(W))|; errors name the offending element by
+    its flat index.  ``iterations`` counts the passes that evaluated h at
+    each element, the seed pass included.
     """
     mu, sigma = np.broadcast_arrays(np.asarray(mu, dtype=float),
                                     np.asarray(sigma, dtype=float))
     shape = mu.shape
     mu, sigma = mu.ravel(), sigma.ravel()
-    ok = (mu >= _MU_MIN) & (mu <= _MU_MAX) & (sigma > 0.0) & (sigma < math.inf)
+    ok = _in_domain(mu, sigma)
     if not ok.all():
         raise DomainError(
-            f"censor input {_element(mu, sigma, int(np.argmin(ok)))} outside "
-            f"{_MU_MIN:.4g} <= mu <= {_MU_MAX:g}, 0 < sigma < inf")
+            f"censor input {_element(mu, sigma, int(np.argmin(ok)))} outside {_DOMAIN}")
 
     # the far tails overflow on the way, and a seed form is nan where it
     # does not apply; a nan step never wins the selection
@@ -357,8 +263,7 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
         cap = np.where(capped, 2.0 * cap, cap)
         lower = np.where(right, lower, w)
         new = np.maximum(w + step, lower)
-        done = ((right & was_left) | (h == 0.0)
-                | (np.abs(new - w) <= 2.0 * _EPS * np.abs(w)))
+        done = (right & was_left) | (h == 0.0) | (np.abs(new - w) <= 2.0 * _EPS * np.abs(w))
         last = ~right & (np.abs(step) <= _LAST_STEP * np.maximum(1.0, np.abs(w)))
         w = np.where(live & ~done, new, w)
         live &= ~(done | last)
@@ -368,28 +273,98 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
         h, step = _newton_step(w, mu, sigma)
         iterations += live
     else:
-        raise ConvergenceError(
-            f"censor not converged in {MAX_ITER} steps at "
-            f"{_element(mu, sigma, int(np.argmax(live)))}")
+        raise ConvergenceError(f"censor not converged in {MAX_ITER} steps at "
+                               f"{_element(mu, sigma, int(np.argmax(live)))}")
 
     # a last step moves w past the h evaluated for it, so h is taken once more
-    residual = np.exp(-mu) * np.abs(np.expm1(_newton_step(w, mu, sigma)[0]))
+    residual = _residual(mu, _newton_step(w, mu, sigma)[0])
     if not (residual <= DEFAULT_TOL).all():
         i = int(np.argmin(residual <= DEFAULT_TOL))
-        raise ConvergenceError(
-            f"censor residual {residual[i]:.3e} above tol {DEFAULT_TOL:.3e} "
-            f"at {_element(mu, sigma, i)}")
+        raise ConvergenceError(f"censor residual {residual[i]:.3e} above tol {DEFAULT_TOL:.3e} "
+                               f"at {_element(mu, sigma, i)}")
 
-    # the same clamp as the scalar solve: b_tilde > 1 holds mathematically
-    log_b = np.maximum(sigma * w + mu - 0.5 * sigma * sigma, 0.0)
-    return CensorSolution(
-        w=w.reshape(shape),
-        b_tilde=exp_or_inf(log_b).reshape(shape),
-        log_b_tilde=log_b.reshape(shape),
-        u=np.exp(-2.0 * log_b).reshape(shape),
-        residual=residual.reshape(shape),
-        iterations=iterations.reshape(shape),
-    )
+    fields = (w, *_price(mu, sigma, w), residual, iterations)
+    return CensorSolution(*(x.reshape(shape) for x in fields))
+
+
+def _loss_inverse_float(y: float) -> float:
+    """``_loss_inverse`` on a float; nan where y is not in (0, inf), as there."""
+    if not 0.0 < y < math.inf:
+        return math.nan
+    w = math.sqrt(-2.0 * math.log(y * SQRT_2PI)) if y < INV_SQRT_2PI else INV_SQRT_2PI - y
+    for _ in range(2):
+        gap = hazard(w) - w
+        w = w + (float(log_ndtr(-w)) + math.log(gap) - math.log(y)) * gap
+    return w
+
+
+def _starts(mu: float, sigma: float) -> tuple[float, float, float]:
+    """The three starts of ``_seed_array`` for one (mu, sigma), on floats."""
+    lower = 0.5 * sigma - mu / sigma
+    d = sigma - mu_hat(mu)
+    first = _loss_inverse_float(-math.expm1(-mu) / sigma)
+    small = first + 0.5 * sigma * (1.0 + first * (hazard(first) - first))
+    return lower, small, (d - 1.0 / d if d > 1.0 else math.nan)
+
+
+def _newton_step_float(w: float, mu: float, sigma: float) -> tuple[float, float]:
+    """``_newton_step`` on floats; where h' underflows to 0 the step is -h*inf, as -h/0 is there."""
+    log_f, b = _log_F(w, sigma)
+    h = log_f + mu
+    dh = sigma * math.exp(b - log_f)
+    return h, (-h / dh if dh else -h * math.inf)
+
+
+def solve_normal_censor(mu: float, sigma: float) -> CensorSolution:
+    """Solve F(W, sigma) = exp(-mu) for one (mu, sigma) on Python floats.
+
+    ``solve_normal_censor_array``'s iteration step for step: the same starts
+    and pick, capped right step, lower bound, stop rules, domain and
+    residual, held to DEFAULT_TOL.  W matches the kernel's to rounding
+    (math.exp and numpy's exp may differ in the last bit), and
+    ``iterations`` counts the same passes.
+    """
+    mu, sigma = float(mu), float(sigma)
+    if not _in_domain(mu, sigma):
+        raise DomainError(f"censor input (mu={mu!r}, sigma={sigma!r}) outside {_DOMAIN}")
+
+    starts = _starts(mu, sigma)
+    evals = [_newton_step_float(s, mu, sigma) if s == s else (s, s) for s in starts]
+    # every start with h <= 0 lies left of the root; a nan step never wins
+    lower = max([starts[0]] + [s for s, (h, _) in zip(starts, evals) if h <= 0.0])
+    sizes = [abs(step) if step == step else math.inf for _, step in evals]
+    k = sizes.index(min(sizes))
+    w, (h, step) = starts[k], evals[k]
+
+    cap = max(0.5, 0.05 * abs(w))
+    was_left = False
+    iterations = 1
+    for _ in range(MAX_ITER):
+        right = h >= 0.0
+        if right and not step >= -cap:
+            step, cap = -cap, 2.0 * cap
+        lower = lower if right else w
+        new = max(w + step, lower)
+        if (right and was_left) or h == 0.0 or abs(new - w) <= 2.0 * _EPS * abs(w):
+            break
+        last = not right and abs(step) <= _LAST_STEP * max(1.0, abs(w))
+        w = new
+        h, step = _newton_step_float(w, mu, sigma)
+        if last:
+            break
+        iterations += 1
+        was_left = was_left or not right
+    else:
+        raise ConvergenceError(
+            f"censor not converged in {MAX_ITER} steps at (mu={mu!r}, sigma={sigma!r})")
+
+    # h is that of the final w: a stop leaves w where h was taken
+    residual = float(_residual(mu, h))
+    if not residual <= DEFAULT_TOL:
+        raise ConvergenceError(f"censor residual {residual:.3e} above tol {DEFAULT_TOL:.3e} "
+                               f"at (mu={mu!r}, sigma={sigma!r})")
+
+    return CensorSolution(w, *_price(mu, sigma, w), residual, iterations)
 
 
 def censor_price(mu: float, sigma: float) -> float:

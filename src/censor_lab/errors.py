@@ -9,6 +9,6 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge.
 
     For the censor and stationarity solvers this signals an internal
-    defect (bracketing failure), not a user error: the underlying
-    equations have unique roots for all valid inputs.
+    defect, not a user error: the underlying equations have unique roots
+    for all valid inputs.
     """

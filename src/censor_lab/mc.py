@@ -166,19 +166,27 @@ def _blocks(x: np.ndarray):
     return (x[start:start + _BLOCK] for start in range(0, x.size, _BLOCK))
 
 
+def _mean(d: np.ndarray, k: int) -> float:
+    """sum(d)/k, or the sum of d/k where the sum of d overflows."""
+    total = float(np.sum(d))
+    return total / k if math.isfinite(total) else float(np.sum(d / k))
+
+
 def _stats(d: np.ndarray) -> tuple[int, float, float]:
     """Count, mean and M2, the sum of squared deviations about the mean, of one block.
 
     Two passes about the block's own mean, the deviations corrected by
     their own mean for the rounding of the first pass; d is scratch and
-    is overwritten.  A constant block gets its value and M2 = 0.0 exactly.
+    is overwritten.  A constant block gets its value and M2 = 0.0 exactly,
+    up to the float maximum.
     """
     k = d.size
-    mean = float(np.sum(d)) / k
-    d -= mean
-    shift = float(np.sum(d)) / k
-    d -= shift
-    with np.errstate(over="ignore"):  # a square past the float range is inf
+    # a sum past the float range goes through d/k, and a square past it is inf
+    with np.errstate(over="ignore"):
+        mean = _mean(d, k)
+        d -= mean
+        shift = _mean(d, k)
+        d -= shift
         return k, mean + shift, float(np.sum(np.square(d, out=d)))
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 from scipy.special import log_ndtr
 
 from censor_lab import censor as censor_module
@@ -26,10 +25,11 @@ from censor_lab.censor import (
     solve_normal_censor,
     solve_normal_censor_array,
 )
-from censor_lab.errors import DomainError
+from censor_lab.errors import ConvergenceError, DomainError
 from censor_lab.model import ModelParams
 from censor_lab.special import inv_norm_cdf, norm_cdf, norm_cdf_complement
 
+EPS = np.finfo(float).eps
 MU_GRID = np.geomspace(1e-3, 5.0, 9)
 SIGMA_GRID = np.geomspace(1e-3, 50.0, 11)
 
@@ -143,27 +143,6 @@ class TestSolver:
             with pytest.raises(DomainError):
                 solve_normal_censor(mu, sigma)
 
-    @pytest.mark.parametrize("seed", [1.0, 0.0])
-    def test_exact_root_at_bracket_end(self, monkeypatch, seed):
-        # the seed w0 brackets with [w0 - 0.5, w0 + 0.5], so 0.5 is the lower
-        # end for w0 = 1 and the upper end for w0 = 0; mu is chosen so that
-        # exp(-mu) rounds back to F(0.5, sigma) and 0.5 is an exact root
-        sigma = 0.3
-        f = censor_F(0.5, sigma)
-        mu = -math.log(f)
-        assert math.exp(-mu) == f
-        monkeypatch.setattr(censor_module, "_seed", lambda mu, sigma: seed)
-
-        def refuse(*args, **kwargs):
-            # scipy returns an exact-root end without setting its iteration count
-            raise AssertionError("brentq called on a bracket with an exact root")
-
-        monkeypatch.setattr(censor_module, "brentq", refuse)
-        sol = solve_normal_censor(mu, sigma)
-        assert sol.w == 0.5
-        assert sol.residual == 0.0
-        assert sol.iterations == 0
-
     def test_extreme_corner_overflowing_b(self):
         # sigma = 50, small mu: b_tilde overflows the double range but
         # the log field and the identity remain finite and accurate
@@ -217,6 +196,20 @@ class TestQuantityAndTimePath:
         assert all(b < a for a, b in zip(logs[peak:], logs[peak + 1:]))
 
 
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _w_tolerance(mu, sigma, w):
+    """How far two solves' W may lie apart: 128 ulps of |W| + 1/F_w.
+
+    F is flat where dF/dw is tiny, and there a root to within an ulp of F
+    lies far from the true W.
+    """
+    log_fw = math.log(sigma) + sigma * w - 0.5 * sigma ** 2 + float(log_ndtr(-w))
+    return 2.0 * 64.0 * EPS * (abs(w) + math.exp(min(-log_fw, 700.0)))
+
+
 def _domain_sample():
     """Log-uniform (mu, sigma) over the whole valid domain, plus its corners."""
     rng = np.random.default_rng(7)
@@ -238,14 +231,9 @@ class TestArrayKernel:
         assert (sol.log_b_tilde >= 0.0).all()
         # a plain Newton from the seed took up to 60 steps in the far tails
         assert sol.iterations.max() <= 30
-        eps = np.finfo(float).eps
         for i in range(mu.size):
             ref = solve_normal_censor(mu[i], sigma[i])
-            # F is flat where dF/dw is tiny, and there a root to within
-            # an ulp of F lies far from the true W
-            log_fw = (math.log(sigma[i]) + sigma[i] * ref.w
-                      - 0.5 * sigma[i] ** 2 + float(log_ndtr(-ref.w)))
-            tol = 2.0 * 64.0 * eps * (abs(ref.w) + math.exp(min(-log_fw, 700.0)))
+            tol = _w_tolerance(mu[i], sigma[i], ref.w)
             assert abs(sol.w[i] - ref.w) <= tol, (mu[i], sigma[i])
             assert (sol.b_tilde[i] == math.inf) == (ref.b_tilde == math.inf)
 
@@ -260,7 +248,9 @@ class TestArrayKernel:
         grid = solve_normal_censor_array(mus, sigmas[None, :])
         assert grid.w.shape == grid.iterations.shape == (3, 4)
         np.testing.assert_array_equal(grid.w[0], row.w)
-        assert solve_normal_censor_array(0.05, 0.3).w.shape == ()
+        point = solve_normal_censor_array(0.05, 0.3)
+        for field in ("w", "b_tilde", "log_b_tilde", "u", "residual", "iterations"):
+            assert getattr(point, field).shape == ()
 
     @pytest.mark.parametrize("mu,sigma", [(-1.0, 0.3), (0.05, 0.0),
                                           (800.0, 0.3), (0.05, math.nan),
@@ -273,72 +263,56 @@ class TestArrayKernel:
             solve_normal_censor_array(mus, sigmas)
 
 
-def _old_polish_solve(mu, sigma):
-    """The scalar solve with its former polish, which re-evaluated F at each iterate.
+class TestScalarSolve:
+    def test_kernel_iteration_on_floats(self, monkeypatch):
+        # the scalar solve runs the kernel's Newton on log F + mu, not on F
+        def refuse(w, sigma):
+            raise AssertionError("the scalar solve evaluated censor_F")
 
-    The oracle for the scalar solver: bracket, brentq and the polish as
-    they stood, through the module's ``censor_F`` so its calls are counted.
-    """
-    target = math.exp(-mu)
-
-    def g(w):
-        return censor_module.censor_F(w, sigma) - target
-
-    w0 = censor_module._seed(mu, sigma)
-    step = max(0.5, 0.05 * abs(w0))
-    lo, hi = w0 - step, w0 + step
-    glo, ghi = g(lo), g(hi)
-    while glo > 0.0:
-        step *= 2.0
-        lo -= step
-        glo = g(lo)
-    while ghi < 0.0:
-        step *= 2.0
-        hi += step
-        ghi = g(hi)
-    w = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=censor_module.MAX_ITER)
-    residual = abs(g(w))
-    for _ in range(6):
-        if residual == 0.0:
-            break
-        deriv = censor_module._dF_dw(w, sigma)
-        if deriv <= 0.0 or not math.isfinite(deriv):
-            break
-        w_next = w - g(w) / deriv
-        r_next = abs(g(w_next))
-        if r_next >= residual:
-            break
-        w, residual = w_next, r_next
-    return w, max(sigma * w + mu - 0.5 * sigma * sigma, 0.0), residual
-
-
-class TestScalarEvaluations:
-    def test_bit_identical_to_old_polish_with_fewer_F_calls(self, monkeypatch):
-        calls = []
-        f = censor_module.censor_F
-
-        def counting(w, sigma):
-            calls.append(w)
-            return f(w, sigma)
-
-        monkeypatch.setattr(censor_module, "censor_F", counting)
+        monkeypatch.setattr(censor_module, "censor_F", refuse)
         mu, sigma = _domain_sample()
-        old_calls = new_calls = 0
-        for m, s in zip(mu.tolist(), sigma.tolist()):
-            calls.clear()
-            want = _old_polish_solve(m, s)
-            old_calls += len(calls)
-            calls.clear()
+        kernel = solve_normal_censor_array(mu, sigma)
+        for i, (m, s) in enumerate(zip(mu.tolist(), sigma.tolist())):
             sol = solve_normal_censor(m, s)
-            new_calls += len(calls)
-            assert (sol.w, sol.log_b_tilde, sol.residual) == want, (m, s)
-        # brentq's two bracket ends, its root and one F per polish step
-        assert new_calls <= old_calls - 3 * mu.size
+            w = float(kernel.w[i])
+            tol = _w_tolerance(m, s, w)
+            assert abs(sol.w - w) <= tol, (m, s)
+            # log b_tilde = sigma*W + mu - sigma^2/2, rounded at its largest term
+            scale = abs(s * w) + m + 0.5 * s * s
+            assert abs(sol.log_b_tilde - kernel.log_b_tilde[i]) <= s * tol + 64.0 * EPS * scale
+            assert abs(sol.iterations - int(kernel.iterations[i])) <= 1, (m, s)
+
+    @given(log_uniform(2.2e-308, 700.0), log_uniform(1e-8, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_or_typed_error(self, mu, sigma):
+        # under the suite's warning filters; on floats an overflow or a log of
+        # 0 would raise OverflowError or ValueError where numpy only warned
+        try:
+            sol = solve_normal_censor(mu, sigma)
+        except (DomainError, ConvergenceError):
+            return
+        assert math.isfinite(sol.w) and sol.log_b_tilde >= 0.0
+        assert sol.residual <= 1e-12
+        w = float(solve_normal_censor_array(mu, sigma).w)
+        assert abs(sol.w - w) <= _w_tolerance(mu, sigma, w)
+
+
+def _solve_float(solve, mu, sigma):
+    sol = solve(mu, sigma)
+    return float(sol.w), float(sol.log_b_tilde)
+
+
+BOTH_SOLVERS = pytest.mark.parametrize("solve", [solve_normal_censor, solve_normal_censor_array],
+                                       ids=["scalar", "kernel"])
 
 
 class TestTinyDrift:
     # W at (1e-17, 0.3) from 50-digit mpmath, as the root of log F + mu
     W_TINY = 8.39446650573081
+    # from 60-digit mpmath: W at (1.1180598087987526e-12, 5.476645853463777),
+    # and log b_tilde at (3.0907819701e-05, 4.49026293e-06)
+    W_NEAR_ONE = 12.37823009163968
+    LOG_B_TINY = 1.8344176607100555e-18
 
     def test_mu_hat_finite_where_exp_rounds_to_one(self):
         assert math.exp(-1e-17) == 1.0
@@ -352,9 +326,29 @@ class TestTinyDrift:
         assert sol.w[0] == pytest.approx(self.W_TINY, rel=1e-14)
         assert sol.w[1] == pytest.approx(solve_normal_censor(0.05, 0.3).w, rel=1e-14)
 
-    def test_scalar_solver_names_tiny_drift(self):
-        with pytest.raises(DomainError, match=r"mu = 1e-17 .*rounds to 1"):
-            solve_normal_censor(1e-17, 0.3)
+    def test_scalar_solver_solves_tiny_drift(self):
+        assert math.exp(-1e-17) == 1.0
+        sol = solve_normal_censor(1e-17, 0.3)
+        assert sol.w == pytest.approx(self.W_TINY, rel=1e-14)
+        assert sol.residual <= 1e-12
+
+    @pytest.mark.parametrize("mu", [5e-324, 1e-315, 1e-310])
+    def test_scalar_solver_rejects_subnormal_drift(self, mu):
+        with pytest.raises(DomainError, match=r"\(mu=%r, sigma=0.3\) outside" % mu):
+            solve_normal_censor(mu, 0.3)
+
+    @BOTH_SOLVERS
+    def test_w_where_one_minus_F_is_tiny(self, solve):
+        # 1 - F ~ 1.1e-12: a root of F - exp(-mu) was off by 1.4e-5 here
+        w, _ = _solve_float(solve, 1.1180598087987526e-12, 5.476645853463777)
+        assert w == pytest.approx(self.W_NEAR_ONE, rel=1e-14)
+
+    @BOTH_SOLVERS
+    def test_log_b_tilde_not_clamped_where_it_is_tiny(self, solve):
+        # sigma*W ~ -mu cancels to 1.8e-18, which a clamp at 0 used to hide
+        _, log_b = _solve_float(solve, 3.0907819701e-05, 4.49026293e-06)
+        assert log_b > 0.0
+        assert log_b == pytest.approx(self.LOG_B_TINY, rel=1e-2)
 
     @pytest.mark.parametrize("mu", [5e-324, 1e-315, 1e-310])
     def test_kernel_rejects_subnormal_drift(self, mu):

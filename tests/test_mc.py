@@ -16,6 +16,7 @@ from censor_lab.errors import DomainError
 from censor_lab.mc import (
     _BLOCK,
     McEstimate,
+    PriceSample,
     _censored_estimates,
     _estimate,
     _price_blocks,
@@ -112,6 +113,16 @@ class TestEstimators:
         assert est.mean == 1.0 / b_tilde
         assert est.std_error == 0.0
         assert est.deviation_in_se(1.0 / b_tilde) == 0.0
+
+    @pytest.mark.parametrize("c", [1e305, 1.7e308])
+    def test_constant_sample_near_float_max(self, c):
+        # under the suite's warning filters: a block sum of such values
+        # overflows, and the block's mean is then taken from the values / k
+        est = _estimate(np.full(_BLOCK + 5, c))
+        assert est.mean == c and est.std_error == 0.0
+        values = np.full(70_000, c)
+        est = mc_censored_mean(PriceSample(values=values, seed=0, n=values.size), math.inf)
+        assert est.mean == c and est.std_error == 0.0
 
     def test_censored_below_uncensored(self, sample):
         sol = solve_normal_censor(SCALED.mu, SCALED.sigma)

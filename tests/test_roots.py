@@ -8,16 +8,25 @@ import pytest
 from censor_lab import censor as censor_module
 from censor_lab.errors import ConvergenceError
 from censor_lab.roots import brentq
+from censor_lab.special import inv_norm_cdf
+
+
+def _retired_seed(mu, sigma):
+    """The bracket centre of the scalar censor solve when it ran Brent's method on F - exp(-mu)."""
+    m = -inv_norm_cdf(math.exp(-mu))
+    if sigma > m + 2.0:
+        return sigma - m - 1.0 / (sigma - m)
+    return -mu / sigma + 0.5 * sigma
 
 
 def _censor_bracket(mu, sigma):
-    """The scalar censor solve's objective and bracket, as ``solve_normal_censor`` builds them."""
+    """The objective F - exp(-mu) and the bracket that solve expanded around _retired_seed."""
     target = math.exp(-mu)
 
     def g(w):
         return censor_module.censor_F(w, sigma) - target
 
-    w0 = censor_module._seed(mu, sigma)
+    w0 = _retired_seed(mu, sigma)
     step = max(0.5, 0.05 * abs(w0))
     lo, hi = w0 - step, w0 + step
     while g(lo) > 0.0:
