@@ -13,9 +13,11 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .censor import mu_hat, solve_normal_censor
+from .censor import (censor_time_path, large_sigma_start, lower_start, mu_hat,
+                     solve_normal_censor)
 from .errors import DomainError
 from .model import ModelParams, ScaledParams
+from .profit import log_profit_terms
 from .special import exp_or_inf, log_norm_cdf, log_norm_cdf_complement, norm_cdf
 
 ORIGIN_THETAS = (1e-2, 1e-3, 1e-4)  # w_bar_origin_limits' shrinking grid, largest first
@@ -55,26 +57,20 @@ def w_small_sigma(mu: float, sigma: float) -> AsymptoticEstimate:
     """W(mu, sigma) ~ -mu/sigma + sigma/2 as sigma -> 0+."""
     if mu <= 0.0 or sigma <= 0.0:
         raise DomainError("mu and sigma must be positive")
-    return AsymptoticEstimate(
-        value=-mu / sigma + 0.5 * sigma,
-        valid_direction="sigma->0+",
-        error_order="o(sigma)",
-    )
+    return AsymptoticEstimate(value=lower_start(mu, sigma), valid_direction="sigma->0+",
+                              error_order="o(sigma)")
 
 
 def w_large_sigma(mu: float, sigma: float) -> AsymptoticEstimate:
     """W(mu, sigma) ~ sigma - mu_hat - 1/(sigma - mu_hat) as sigma -> inf."""
     if mu <= 0.0 or sigma <= 0.0:
         raise DomainError("mu and sigma must be positive")
-    m = mu_hat(mu)
-    if sigma <= m + 1.0:
+    value = large_sigma_start(mu, sigma)
+    if math.isnan(value):
         raise DomainError(
-            f"large-sigma form needs sigma > mu_hat + 1 = {m + 1.0:.6g}, got {sigma}")
-    return AsymptoticEstimate(
-        value=sigma - m - 1.0 / (sigma - m),
-        valid_direction="sigma->inf",
-        error_order="o(1/(sigma-mu_hat))",
-    )
+            f"large-sigma form needs sigma > mu_hat + 1 = {mu_hat(mu) + 1.0:.6g}, got {sigma}")
+    return AsymptoticEstimate(value=value, valid_direction="sigma->inf",
+                              error_order="o(1/(sigma-mu_hat))")
 
 
 def g_asymptotic_sigma(mu: float, sigma: float, direction: str) -> AsymptoticEstimate:
@@ -110,19 +106,15 @@ def g_asymptotic_theta(theta: float, params: ModelParams,
     alpha = params.sigma2_bar - params.mu_bar
     if regime is Regime.LOW_VAR:
         value = 1.0
-        order = "o(1/sqrt(theta))"
     elif regime is Regime.MID_VAR:
         value = 1.0 + exp_or_inf(alpha * theta)
-        order = "o(1/sqrt(theta))"
     elif regime is Regime.HIGH_VAR:
         value = exp_or_inf(alpha * theta)
-        order = "o(1/sqrt(theta))"
     else:
         expo = params.mu_bar * theta + log_norm_cdf(math.sqrt(2.0 * params.mu_bar * theta))
         value = 0.25 + exp_or_inf(expo)
-        order = "o(1/sqrt(theta))"
     return AsymptoticEstimate(value=value, valid_direction="theta->inf",
-                              error_order=order)
+                              error_order="o(1/sqrt(theta))")
 
 
 def g_theta_gap(theta: float, params: ModelParams, eps: float = 0.0) -> float:
@@ -136,12 +128,11 @@ def g_theta_gap(theta: float, params: ModelParams, eps: float = 0.0) -> float:
     mu, sigma = scaled.mu, scaled.sigma
     w = solve_normal_censor(mu, sigma).w
     s2 = sigma * sigma
-    log_x = (-mu - sigma * w + 0.5 * s2) + log_norm_cdf_complement(w)
+    log_term1, log_x = log_profit_terms(mu, sigma, w)
     regime = classify_regime(params, eps)
 
     if regime is Regime.LOW_VAR:
-        term1 = math.exp((s2 - mu) + log_norm_cdf(w + sigma))
-        return term1 + math.expm1(log_x)
+        return math.exp(log_term1) + math.expm1(log_x)
     if regime is Regime.MID_VAR:
         term1 = -math.exp((s2 - mu) + log_norm_cdf_complement(w + sigma))
         return term1 + math.expm1(log_x)
@@ -160,8 +151,7 @@ def g_theta_gap(theta: float, params: ModelParams, eps: float = 0.0) -> float:
 
 def w_bar(theta: float, params: ModelParams) -> float:
     """Exact normal censor along the horizon."""
-    scaled = ScaledParams.from_horizon(params, theta)
-    return solve_normal_censor(scaled.mu, scaled.sigma).w
+    return censor_time_path(params, theta).w
 
 
 def w_bar_asymptotic(theta: float, params: ModelParams) -> AsymptoticEstimate:

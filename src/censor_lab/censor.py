@@ -8,9 +8,11 @@ The censor threshold in standard-normal coordinates is the root W of
 which is strictly increasing in w.  The censor price is then
 b_tilde = exp(sigma*W + mu - sigma^2/2) > 1, and with revenue
 f(x) = 2*sqrt(x) the optimal forward quantity is u = b_tilde^(-2).
+F is written once, in log form: ``_log_F`` on floats, its twin in
+``_newton_step`` on arrays; ``censor_F`` is the exp of the former.
 
 One algorithm solves it: Newton on the concave h = log F + mu, which
-resolves 1 - F ~ mu where exp(-mu) rounds to 1.
+resolves 1 - F ~ mu where exp(-mu) rounds to 1, for 0 < sigma <= SIGMA_MAX.
 ``solve_normal_censor_array`` runs it over arrays, for the callers that
 sweep a horizon grid, and ``solve_normal_censor`` step for step on
 Python floats, for single points: a 0-d call into the array kernel pays
@@ -29,29 +31,26 @@ from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
 from .special import (
     INV_SQRT_2PI,
-    SQRT2,
     SQRT_2PI,
     exp_or_inf,
     hazard,
     log_norm_cdf,
     log_norm_cdf_complement,
     norm_cdf,
-    norm_pdf,
 )
 
 DEFAULT_TOL = 1e-12
 MAX_ITER = 200
-
-# exp(sigma*w - sigma^2/2) is evaluated directly below this exponent;
-# above it the term is rewritten as pdf(sigma - w) / H(w), which is
-# algebraically identical and immune to overflow.
-_EXP_SWITCH = 50.0
 
 # exp(-mu) must not underflow for the root to be meaningful
 _MU_MAX = 700.0
 # below the smallest normal float h = log F + mu is subnormal, its
 # derivative loses its digits and Newton cannot reach W
 _MU_MIN = float(np.finfo(float).tiny)
+# near the root F_w ~ pdf(mu_hat) <= 0.399, so the double nearest W leaves
+# |F - exp(-mu)| ~ ulp(W)/2 * F_w ~ 1.1e-16*sigma*pdf(mu_hat): at most 4.4e-13
+# while sigma <= 1e4, and above DEFAULT_TOL from sigma ~ 2.3e4 on
+SIGMA_MAX = 1e4
 
 _EPS = float(np.finfo(float).eps)
 _LOG_2 = math.log(2.0)
@@ -63,17 +62,10 @@ _LAST_STEP = 1e-10
 
 
 def censor_F(w: float, sigma: float) -> float:
-    """F(w, sigma); monotone increasing in w, with values in (0, 1)."""
+    """F(w, sigma) = exp(log F); monotone increasing in w, with values in [0, 1]."""
     if sigma < 0.0 or not math.isfinite(w):
         raise DomainError(f"censor_F needs sigma >= 0 and finite w, got ({w}, {sigma})")
-    if sigma == 0.0:
-        return 1.0
-    expo = sigma * w - 0.5 * sigma * sigma
-    if expo > _EXP_SWITCH:
-        second = norm_pdf(sigma - w) / hazard(w)
-    else:
-        second = math.exp(expo) * (0.5 * math.erfc(w / SQRT2))
-    return 0.5 * math.erfc(-(w - sigma) / SQRT2) + second
+    return math.exp(log_censor_F(w, sigma))
 
 
 def _log_F(w: float, sigma: float) -> tuple[float, float]:
@@ -114,10 +106,10 @@ class CensorSolution:
 
 def _in_domain(mu, sigma):
     """Whether (mu, sigma) lies in the solvers' domain, elementwise on arrays."""
-    return (mu >= _MU_MIN) & (mu <= _MU_MAX) & (sigma > 0.0) & (sigma < math.inf)
+    return (mu >= _MU_MIN) & (mu <= _MU_MAX) & (sigma > 0.0) & (sigma <= SIGMA_MAX)
 
 
-_DOMAIN = f"{_MU_MIN:.4g} <= mu <= {_MU_MAX:g}, 0 < sigma < inf"
+_DOMAIN = f"{_MU_MIN:.4g} <= mu <= {_MU_MAX:g}, 0 < sigma <= {SIGMA_MAX:g}"
 
 
 def mu_hat(mu):
@@ -134,6 +126,21 @@ def mu_hat(mu):
     elif math.isfinite(m):
         return float(m)
     raise DomainError(f"mu must be positive and finite, got {mu!r}")
+
+
+def lower_start(mu, sigma):
+    """sigma/2 - mu/sigma, W's small-sigma form, and left of W; on floats or arrays.
+
+    There log F <= -mu: F(w, sigma) <= exp(sigma*w - sigma^2/2), as Phi(w - sigma)
+    is the integral of exp(sigma*t - sigma^2/2)*pdf(t) over t < w.
+    """
+    return 0.5 * sigma - mu / sigma
+
+
+def large_sigma_start(mu: float, sigma: float) -> float:
+    """d - 1/d with d = sigma - mu_hat(mu), the large-sigma form of W; nan where d <= 1."""
+    d = sigma - mu_hat(mu)
+    return d - 1.0 / d if d > 1.0 else math.nan
 
 
 def _residual(mu, h):
@@ -173,15 +180,13 @@ def _loss_inverse(y: np.ndarray) -> np.ndarray:
 def _seed_array(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Three starts for the kernel, stacked: a lower bound, the small- and the large-sigma form.
 
-    - sigma/2 - mu/sigma lies left of W: F(w, sigma) <= exp(sigma*w - sigma^2/2)
-      for every w, since Phi(w - sigma) is the integral of
-      exp(sigma*t - sigma^2/2)*pdf(t) over t < w, so log F <= -mu there.
+    - ``lower_start`` lies left of W.
     - To second order in sigma, with psi the normal loss function,
       1 - F(w, sigma) = sigma*psi(w) + sigma^2/2*(w*psi(w) + 1 - Phi(w)).
       So W ~ w1 + sigma/2*(1 + w1*(H(w1) - w1)), where psi(w1) = (1 - exp(-mu))/sigma.
-    - W ~ d - 1/d with d = sigma - mu_hat(mu), where d > 1.
+    - ``large_sigma_start``, here written on arrays.
     """
-    lower = 0.5 * sigma - mu / sigma
+    lower = lower_start(mu, sigma)
     d = sigma - mu_hat(mu)
     large = np.where(d > 1.0, d - 1.0 / d, math.nan)
     first = _loss_inverse(-np.expm1(-mu) / sigma)
@@ -300,11 +305,9 @@ def _loss_inverse_float(y: float) -> float:
 
 def _starts(mu: float, sigma: float) -> tuple[float, float, float]:
     """The three starts of ``_seed_array`` for one (mu, sigma), on floats."""
-    lower = 0.5 * sigma - mu / sigma
-    d = sigma - mu_hat(mu)
     first = _loss_inverse_float(-math.expm1(-mu) / sigma)
     small = first + 0.5 * sigma * (1.0 + first * (hazard(first) - first))
-    return lower, small, (d - 1.0 / d if d > 1.0 else math.nan)
+    return lower_start(mu, sigma), small, large_sigma_start(mu, sigma)
 
 
 def _newton_step_float(w: float, mu: float, sigma: float) -> tuple[float, float]:

@@ -4,7 +4,7 @@ Subcommands: censor, profit, timing, figures, statics, mc-check.  Every
 command is deterministic given its flags (plus seed where applicable)
 and can emit a human-readable table (default), JSON (``--json``) or CSV
 (``--csv``).  Machine formats print 17 significant digits so numbers
-round-trip exactly.
+round-trip exactly; JSON is strict, with null for an infinite or nan value.
 
 Exit codes: 0 success, 1 internal numerical failure, 2 usage error,
 3 verification failure.
@@ -55,12 +55,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _strict(record: dict) -> dict:
+    """The record with each non-finite float as None, which strict JSON writes as null."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in record.items()}
+
+
+def _csv(header, rows) -> str:
+    """CSV lines of a header and rows, floats at 17 significant digits."""
+    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in [header, *rows])
+
+
 def _emit_record(record: dict, args) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(record))
+        print(json.dumps(_strict(record), allow_nan=False))
     elif getattr(args, "csv", False):
-        print(",".join(record.keys()))
-        print(",".join(_fmt(v) for v in record.values()))
+        print(_csv(record, [record.values()]), end="")
     else:
         width = max(len(k) for k in record)
         for k, v in record.items():
@@ -69,11 +79,17 @@ def _emit_record(record: dict, args) -> None:
 
 def _emit_records(records: list, args) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(records))
+        print(json.dumps([_strict(r) for r in records], allow_nan=False))
     else:
-        print(",".join(records[0].keys()))
-        for rec in records:
-            print(",".join(_fmt(v) for v in rec.values()))
+        print(_csv(records[0], [rec.values() for rec in records]), end="")
+
+
+def _write_csv(path: Path, header: list, rows) -> str:
+    try:
+        path.write_text(_csv(header, rows), newline="\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +226,13 @@ def cmd_figures(args) -> int:
     written = []
     for tag, sigma2 in _FIGURE_VARIANCES.items():
         params = ModelParams.from_variance(args.mu_bar, sigma2)
-        path = out_dir / f"g_bar_{tag}.csv"
-        try:
-            with path.open("w", newline="\n") as fh:
-                fh.write("theta,g_bar_exact,g_asymptotic,regime\n")
-                for t in thetas:
-                    g = profit.g_bar(float(t), params)
-                    approx = asymptotics.g_asymptotic_theta(float(t), params,
-                                                            eps=args.eps).value
-                    fh.write("%.17g,%.17g,%.17g,%s\n" % (t, g, approx, tag))
-        except OSError as exc:
-            raise DomainError(f"cannot write {path}: {exc}") from exc
-        written.append(str(path))
+        mu, sigma = params.scaled(thetas)
+        exact = profit.expected_profit(mu, sigma, solve_normal_censor_array(mu, sigma).w)
+        approx = [asymptotics.g_asymptotic_theta(float(t), params, eps=args.eps).value
+                  for t in thetas]
+        written.append(_write_csv(out_dir / f"g_bar_{tag}.csv",
+                                  ["theta", "g_bar_exact", "g_asymptotic", "regime"],
+                                  zip(thetas, exact, approx, [tag] * thetas.size)))
 
     # the censor time path b_bar(theta), increasing for kappa < 1/2 and
     # unimodal above
@@ -230,16 +241,9 @@ def cmd_figures(args) -> int:
     for kappa in _PATH_DISPERSIONS:
         params = ModelParams.from_variance(args.mu_bar, args.mu_bar / kappa)
         columns.append(solve_normal_censor_array(*params.scaled(path_thetas)).log_b_tilde)
-    path = out_dir / "censor_path.csv"
-    try:
-        with path.open("w", newline="\n") as fh:
-            fh.write(",".join(["theta"] + [f"log_b_kappa_{k:g}" for k in _PATH_DISPERSIONS])
-                     + "\n")
-            for row in zip(*columns):
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc}") from exc
-    written.append(str(path))
+    written.append(_write_csv(out_dir / "censor_path.csv",
+                              ["theta"] + [f"log_b_kappa_{k:g}" for k in _PATH_DISPERSIONS],
+                              zip(*columns)))
     for path in written:
         print(path)
     return EXIT_OK

@@ -6,8 +6,8 @@ expected profit after re-stocking has the closed form
     g(mu, sigma) = exp(sigma^2 - mu) * Phi(W + sigma)
                  + exp(-mu - sigma*W + sigma^2/2) * (1 - Phi(W)),
 
-with W the normal censor.  All exponential factors are combined in log
-space so the formula survives sigma up to ~50.
+with W the normal censor.  ``log_profit_terms`` gives the logs of the two
+terms, and g sums them in log space, so the formula survives sigma up to ~50.
 """
 
 from __future__ import annotations
@@ -29,15 +29,19 @@ def indirect_profit(b: float) -> float:
     return 1.0 / b
 
 
+def log_profit_terms(mu, sigma, w):
+    """The logs of g's two terms at a solved W (module docstring), elementwise on arrays."""
+    s2 = sigma * sigma
+    return ((s2 - mu) + log_norm_cdf(w + sigma),
+            (-mu - sigma * w + 0.5 * s2) + log_norm_cdf_complement(w))
+
+
 def log_expected_profit(mu: float, sigma: float,
                         w: float | None = None) -> float:
     """log g(mu, sigma); elementwise when w is an array of solved censors."""
     if w is None:
         w = solve_normal_censor(mu, sigma).w
-    s2 = sigma * sigma
-    a = (s2 - mu) + log_norm_cdf(w + sigma)
-    b = (-mu - sigma * w + 0.5 * s2) + log_norm_cdf_complement(w)
-    log_g = np.logaddexp(a, b)
+    log_g = np.logaddexp(*log_profit_terms(mu, sigma, w))
     return log_g if isinstance(w, np.ndarray) else float(log_g)
 
 

@@ -98,8 +98,3 @@ def inv_norm_cdf(p, out=None):
     elif not math.isfinite(x):
         raise DomainError(f"probability must lie strictly in (0, 1), got {p}")
     return x
-
-
-def mills_ratio(x):
-    """Reciprocal of the hazard rate: (1 - Phi(x)) / pdf(x)."""
-    return 1.0 / hazard(x)

@@ -37,9 +37,9 @@ import numpy as np
 from .censor import solve_normal_censor, solve_normal_censor_array
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
-from .profit import expected_profit, g_bar
+from .profit import g_bar, log_profit_terms
 from .roots import brentq
-from .special import exp_or_inf, log_norm_cdf
+from .special import exp_or_inf
 
 ENDPOINT_MARGIN = 1e-9
 SCAN_POINTS = 256
@@ -82,8 +82,9 @@ def _horizon(theta, params: ModelParams) -> _Horizon:
         scaled = ScaledParams.from_horizon(params, theta)
         mu, sigma = scaled.mu, scaled.sigma
         sol = solve_normal_censor(mu, sigma)
-    g = expected_profit(mu, sigma, sol.w)
-    growth = exp_or_inf(sigma * sigma - mu + log_norm_cdf(sol.w + sigma))
+    log_growth, log_rest = log_profit_terms(mu, sigma, sol.w)
+    g = exp_or_inf(np.logaddexp(log_growth, log_rest))
+    growth = exp_or_inf(log_growth)
     # g_bar' overflows where sigma_bar^2 is large, and is inf - inf = nan
     # where g overflows too; solve_foc turns either into a ConvergenceError
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,6 +15,7 @@ from scipy.special import log_ndtr
 
 from censor_lab import censor as censor_module
 from censor_lab.censor import (
+    SIGMA_MAX,
     censor_F,
     censor_price,
     censor_time_path,
@@ -282,7 +283,7 @@ class TestScalarSolve:
             assert abs(sol.log_b_tilde - kernel.log_b_tilde[i]) <= s * tol + 64.0 * EPS * scale
             assert abs(sol.iterations - int(kernel.iterations[i])) <= 1, (m, s)
 
-    @given(log_uniform(2.2e-308, 700.0), log_uniform(1e-8, 1e3))
+    @given(log_uniform(2.2e-308, 700.0), log_uniform(1e-8, SIGMA_MAX))
     @settings(max_examples=200, deadline=None)
     def test_finite_or_typed_error(self, mu, sigma):
         # under the suite's warning filters; on floats an overflow or a log of
@@ -295,6 +296,48 @@ class TestScalarSolve:
         assert sol.residual <= 1e-12
         w = float(solve_normal_censor_array(mu, sigma).w)
         assert abs(sol.w - w) <= _w_tolerance(mu, sigma, w)
+
+    @given(st.lists(st.tuples(log_uniform(2.2e-308, 700.0), log_uniform(1e-8, SIGMA_MAX)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_finite_or_typed_error(self, points):
+        mu, sigma = np.array(points).T
+        try:
+            sol = solve_normal_censor_array(mu, sigma)
+        except (DomainError, ConvergenceError):
+            return
+        assert np.isfinite(sol.w).all() and (sol.log_b_tilde >= 0.0).all()
+        assert (sol.residual <= 1e-12).all()
+
+
+class TestSigmaMax:
+    def test_both_solvers_hold_the_contract_up_to_sigma_max(self):
+        # the residual floor ulp(W)/2 * F_w grows with sigma; SIGMA_MAX keeps
+        # it below 4.4e-13 for every mu
+        rng = np.random.default_rng(3)
+        lo_mu = float(np.finfo(float).tiny)
+        mu = np.exp(rng.uniform(math.log(lo_mu), math.log(700.0), 20000))
+        sigma = np.exp(rng.uniform(math.log(1e2), math.log(SIGMA_MAX), 20000))
+        edge_mu, edge_sigma = np.meshgrid([lo_mu, 700.0], [1e2, SIGMA_MAX])
+        mu = np.concatenate([mu, edge_mu.ravel()])
+        sigma = np.concatenate([sigma, edge_sigma.ravel()])
+        kernel = solve_normal_censor_array(mu, sigma)
+        assert np.isfinite(kernel.w).all() and (kernel.log_b_tilde >= 0.0).all()
+        assert (kernel.residual <= 1e-12).all()
+        for i, (m, s) in enumerate(zip(mu.tolist(), sigma.tolist())):
+            sol = solve_normal_censor(m, s)
+            assert sol.residual <= 1e-12, (m, s)
+            w = float(kernel.w[i])
+            assert abs(sol.w - w) <= _w_tolerance(m, s, w), (m, s)
+
+    @pytest.mark.parametrize("mu,sigma", [(0.81, 2.5e4), (0.05, math.nextafter(SIGMA_MAX, 1e5)),
+                                          (1e-6, 1e10)])
+    def test_refused_above_sigma_max(self, mu, sigma):
+        # (0.81, 2.5e4) raised ConvergenceError on its residual before the bound
+        with pytest.raises(DomainError, match=r"\(mu=%r, sigma=%r\) outside" % (mu, sigma)):
+            solve_normal_censor(mu, sigma)
+        with pytest.raises(DomainError, match=r"element 1 \(mu=%r, sigma=%r\)" % (mu, sigma)):
+            solve_normal_censor_array([0.05, mu], [0.3, sigma])
 
 
 def _solve_float(solve, mu, sigma):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import censor_lab
+from censor_lab.asymptotics import g_asymptotic_theta
 from censor_lab.censor import solve_normal_censor
 from censor_lab.cli import (
     EXIT_NUMERICAL,
@@ -20,6 +21,7 @@ from censor_lab.cli import (
     main,
 )
 from censor_lab.model import ModelParams, ScaledParams
+from censor_lab.profit import g_bar
 
 
 def run(capsys, *argv):
@@ -93,21 +95,30 @@ class TestProfitCommand:
         assert "regime" not in rec
 
     def test_overflowing_profit_reports_infinity(self, capsys):
-        # log g = 899 > log(DBL_MAX): g - 1 is reported as inf, not raised
+        # log g = 899 > log(DBL_MAX): g - 1 is reported as inf, not raised;
+        # strict JSON has no inf, and writes null
         code, out, _ = run(capsys, "profit", "--mu", "1", "--sigma", "30",
                            "--json")
         assert code == EXIT_OK
-        assert '"value_of_waiting": Infinity' in out
+        assert '"value_of_waiting": null' in out
         rec = json.loads(out)
-        assert rec["value_of_waiting"] == math.inf
-        assert rec["expected_profit"] == math.inf
+        assert rec["value_of_waiting"] is None
+        assert rec["expected_profit"] is None
+        assert rec["log_expected_profit"] == pytest.approx(899.0)
+        code, out, _ = run(capsys, "profit", "--mu", "1", "--sigma", "30")
+        assert code == EXIT_OK
+        assert "value_of_waiting     inf" in out
 
     def test_overflowing_myopic_profit_reports_infinity(self, capsys):
         # (sigma_bar^2 - mu_bar)*theta = 9990 > log(DBL_MAX)
         code, out, _ = run(capsys, "profit", "--mu-bar", "0.01", "--sigma2-bar", "10",
                            "--theta", "1000", "--json")
         assert code == EXIT_OK
-        assert json.loads(out)["myopic_profit"] == math.inf
+        assert json.loads(out)["myopic_profit"] is None
+        _, out, _ = run(capsys, "profit", "--mu-bar", "0.01", "--sigma2-bar", "10",
+                        "--theta", "1000", "--csv")
+        header, row = out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["myopic_profit"] == "inf"
 
     def test_horizon_pair_needs_both(self, capsys):
         code, _, err = run(capsys, "profit", "--mu-bar", "0.05")
@@ -199,6 +210,24 @@ class TestFiguresCommand:
         assert np.all(np.diff(rows[:, 1]) > 0.0)  # kappa < 1/2: increasing
         peak = int(np.argmax(rows[:, 3]))
         assert 0 < peak < 29  # kappa = 1: unimodal
+
+    def test_g_bar_matches_scalar_loop(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "figures", "--out", str(tmp_path),
+                         "--points", "30", "--theta-max", "2000")
+        assert code == EXIT_OK
+        eps = np.finfo(float).eps
+        for tag, sigma2 in (("low_var", 0.03), ("mid_var", 0.07), ("high_var", 0.15),
+                            ("critical", 0.10)):
+            lines = (tmp_path / f"g_bar_{tag}.csv").read_text().strip().splitlines()[1:]
+            rows = [line.split(",") for line in lines]
+            assert len(rows) == 30 and {row[3] for row in rows} == {tag}
+            thetas = [float(row[0]) for row in rows]
+            np.testing.assert_allclose(thetas, np.geomspace(0.01, 2000.0, 30), rtol=1e-15)
+            params = ModelParams.from_variance(0.05, sigma2)
+            for t, row in zip(thetas, rows):
+                ref = g_bar(t, params)
+                assert abs(float(row[1]) - ref) <= 4.0 * eps * ref, (tag, t)
+                assert float(row[2]) == g_asymptotic_theta(t, params, eps=1e-12).value
 
     def test_validation(self, capsys, tmp_path):
         code, _, _ = run(capsys, "figures", "--out", str(tmp_path),
@@ -314,6 +343,32 @@ class TestMcCheckCommand:
         _, second, _ = run(capsys, "mc-check", "--n", "20000", "--seed", "9",
                            "--json")
         assert first == second
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"not strict JSON: {name}")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv,code,nulls", [
+        (["profit", "--mu", "0.05", "--sigma", "30"], EXIT_OK,
+         ["expected_profit", "value_of_waiting"]),
+        (["mc-check", "--sigma2-bar", "900", "--n", "100000"], EXIT_VERIFICATION,
+         ["profit_closed_form", "profit_deviation_se"]),
+    ], ids=["profit", "mc-check"])
+    def test_non_finite_values_are_null(self, capsys, argv, code, nulls):
+        # these records hold inf and nan, which json.dumps would write as
+        # the non-JSON Infinity and NaN
+        got, out, _ = run(capsys, *argv, "--json")
+        assert got == code
+        rec = json.loads(out, parse_constant=_refuse_constant)
+        assert [k for k, v in rec.items() if v is None] == nulls
+
+    def test_finite_records_unchanged(self, capsys):
+        _, out, _ = run(capsys, "censor", "--mu", "0.05", "--sigma", "0.3", "--json")
+        assert out == json.dumps(json.loads(out)) + "\n"
+        _, out, _ = run(capsys, "statics", "--omega-sweep", "0.5:1.5:3", "--json")
+        assert out == json.dumps(json.loads(out)) + "\n"
 
 
 class TestConfigLayer:

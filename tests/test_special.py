@@ -21,7 +21,6 @@ from censor_lab.special import (
     inv_norm_cdf,
     log_norm_cdf,
     log_norm_cdf_complement,
-    mills_ratio,
     norm_cdf,
     norm_cdf_complement,
     norm_pdf,
@@ -168,10 +167,6 @@ class TestHazard:
         # hazard(x) ~ phi(x) as x -> -inf; must stay positive, not underflow to junk
         assert hazard(-40.0) == pytest.approx(norm_pdf(-40.0), rel=1e-10)
         assert hazard(-100.0) >= 0.0
-
-    def test_mills_ratio_is_reciprocal(self):
-        for x in [-3.0, 0.0, 2.0, 20.0]:
-            assert mills_ratio(x) * hazard(x) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestInverseCdf:
