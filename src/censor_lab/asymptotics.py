@@ -13,10 +13,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .censor import (censor_time_path, large_sigma_start, lower_start, mu_hat,
-                     solve_normal_censor)
+from .censor import censor_time_path, large_sigma_start, lower_start, mu_hat
 from .errors import DomainError
-from .model import ModelParams, ScaledParams
+from .model import ModelParams, _require_nonnegative_finite, _require_positive_finite
 from .profit import log_profit_terms
 from .special import exp_or_inf, log_norm_cdf, log_norm_cdf_complement, norm_cdf
 
@@ -41,8 +40,7 @@ class AsymptoticEstimate:
 
 def classify_regime(params: ModelParams, eps: float = 0.0) -> Regime:
     """Regime of (mu_bar, sigma_bar^2); |sigma2 - 2*mu| <= eps is critical."""
-    if eps < 0.0:
-        raise DomainError(f"eps must be nonnegative, got {eps}")
+    _require_nonnegative_finite("eps", eps)
     s2 = params.sigma2_bar
     if abs(s2 - 2.0 * params.mu_bar) <= eps:
         return Regime.CRITICAL
@@ -55,16 +53,16 @@ def classify_regime(params: ModelParams, eps: float = 0.0) -> Regime:
 
 def w_small_sigma(mu: float, sigma: float) -> AsymptoticEstimate:
     """W(mu, sigma) ~ -mu/sigma + sigma/2 as sigma -> 0+."""
-    if mu <= 0.0 or sigma <= 0.0:
-        raise DomainError("mu and sigma must be positive")
+    _require_positive_finite("mu", mu)
+    _require_positive_finite("sigma", sigma)
     return AsymptoticEstimate(value=lower_start(mu, sigma), valid_direction="sigma->0+",
                               error_order="o(sigma)")
 
 
 def w_large_sigma(mu: float, sigma: float) -> AsymptoticEstimate:
     """W(mu, sigma) ~ sigma - mu_hat - 1/(sigma - mu_hat) as sigma -> inf."""
-    if mu <= 0.0 or sigma <= 0.0:
-        raise DomainError("mu and sigma must be positive")
+    _require_positive_finite("mu", mu)
+    _require_positive_finite("sigma", sigma)
     value = large_sigma_start(mu, sigma)
     if math.isnan(value):
         raise DomainError(
@@ -75,8 +73,8 @@ def w_large_sigma(mu: float, sigma: float) -> AsymptoticEstimate:
 
 def g_asymptotic_sigma(mu: float, sigma: float, direction: str) -> AsymptoticEstimate:
     """Profit approximation in sigma: large (exp(sigma^2-mu)) or small."""
-    if mu <= 0.0 or sigma <= 0.0:
-        raise DomainError("mu and sigma must be positive")
+    _require_positive_finite("mu", mu)
+    _require_positive_finite("sigma", sigma)
     if direction == "large":
         return AsymptoticEstimate(
             value=exp_or_inf(sigma * sigma - mu),
@@ -100,8 +98,7 @@ def g_asymptotic_theta(theta: float, params: ModelParams,
     The critical regime uses the Phi-bearing form
     1/4 + exp(mu_bar*theta) * Phi(sqrt(2*mu_bar*theta)).
     """
-    if theta <= 0.0:
-        raise DomainError(f"theta must be positive, got {theta}")
+    _require_positive_finite("theta", theta)
     regime = classify_regime(params, eps)
     alpha = params.sigma2_bar - params.mu_bar
     if regime is Regime.LOW_VAR:
@@ -124,9 +121,8 @@ def g_theta_gap(theta: float, params: ModelParams, eps: float = 0.0) -> float:
     large, so each regime gets its own stable decomposition.  The
     critical branch requires sigma_bar^2 == 2*mu_bar exactly.
     """
-    scaled = ScaledParams.from_horizon(params, theta)
-    mu, sigma = scaled.mu, scaled.sigma
-    w = solve_normal_censor(mu, sigma).w
+    sol = censor_time_path(params, theta)
+    mu, sigma, w = sol.mu, sol.sigma, sol.w
     s2 = sigma * sigma
     log_term1, log_x = log_profit_terms(mu, sigma, w)
     regime = classify_regime(params, eps)
@@ -156,8 +152,7 @@ def w_bar(theta: float, params: ModelParams) -> float:
 
 def w_bar_asymptotic(theta: float, params: ModelParams) -> AsymptoticEstimate:
     """Leading large-theta behaviour of the horizon normal censor."""
-    if theta <= 0.0:
-        raise DomainError(f"theta must be positive, got {theta}")
+    _require_positive_finite("theta", theta)
     mu_b, s2 = params.mu_bar, params.sigma2_bar
     rt = math.sqrt(theta)
     if mu_b > 0.5 * s2:

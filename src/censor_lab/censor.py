@@ -90,12 +90,14 @@ def log_censor_F(w: float, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class CensorSolution:
-    """Solved censor: normal coordinate, price, quantity, diagnostics.
+    """Solved censor: the point (mu, sigma), normal coordinate, price, quantity, diagnostics.
 
     From ``solve_normal_censor_array`` every field is an array of the
     broadcast input shape.
     """
 
+    mu: float
+    sigma: float
     w: float
     b_tilde: float
     log_b_tilde: float
@@ -148,13 +150,18 @@ def _residual(mu, h):
     return np.exp(-mu) * np.abs(np.expm1(h))
 
 
+def _log_b(mu, sigma, w):
+    """log b_tilde = sigma*W + mu - sigma^2/2, on floats or on arrays."""
+    return sigma * w + mu - 0.5 * sigma * sigma
+
+
 def _price(mu, sigma, w):
     """(b_tilde, log b_tilde, u) at W, on floats or on arrays.
 
     b_tilde > 1 holds mathematically; a log b_tilde below 0 is pure rounding
     noise from the cancellation sigma*W ~ -mu at tiny sigma, and is clamped.
     """
-    log_b = sigma * w + mu - 0.5 * sigma * sigma
+    log_b = _log_b(mu, sigma, w)
     log_b = np.maximum(log_b, 0.0) if isinstance(log_b, np.ndarray) else max(log_b, 0.0)
     return exp_or_inf(log_b), log_b, exp_or_inf(-2.0 * log_b)
 
@@ -288,7 +295,7 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
         raise ConvergenceError(f"censor residual {residual[i]:.3e} above tol {DEFAULT_TOL:.3e} "
                                f"at {_element(mu, sigma, i)}")
 
-    fields = (w, *_price(mu, sigma, w), residual, iterations)
+    fields = (mu, sigma, w, *_price(mu, sigma, w), residual, iterations)
     return CensorSolution(*(x.reshape(shape) for x in fields))
 
 
@@ -367,7 +374,7 @@ def solve_normal_censor(mu: float, sigma: float) -> CensorSolution:
         raise ConvergenceError(f"censor residual {residual:.3e} above tol {DEFAULT_TOL:.3e} "
                                f"at (mu={mu!r}, sigma={sigma!r})")
 
-    return CensorSolution(w, *_price(mu, sigma, w), residual, iterations)
+    return CensorSolution(mu, sigma, w, *_price(mu, sigma, w), residual, iterations)
 
 
 def censor_price(mu: float, sigma: float) -> float:
@@ -375,8 +382,12 @@ def censor_price(mu: float, sigma: float) -> float:
     return solve_normal_censor(mu, sigma).b_tilde
 
 
-def censor_time_path(params: ModelParams, theta: float) -> CensorSolution:
-    """b_bar(theta) = b_tilde(mu_bar*theta, sigma_bar*sqrt(theta)), solved to DEFAULT_TOL."""
+def censor_time_path(params: ModelParams, theta) -> CensorSolution:
+    """b_bar(theta) = b_tilde(mu_bar*theta, sigma_bar*sqrt(theta)); an array is one kernel call."""
+    if isinstance(theta, np.ndarray):
+        if not (theta > 0.0).all():
+            raise DomainError(f"theta must be positive, got {theta[~(theta > 0.0)][0]!r}")
+        return solve_normal_censor_array(*params.scaled(theta))
     scaled = ScaledParams.from_horizon(params, theta)
     return solve_normal_censor(scaled.mu, scaled.sigma)
 
@@ -397,7 +408,6 @@ def martingale_identity_residual(mu: float, sigma: float,
     """
     if w is None:
         w = solve_normal_censor(mu, sigma).w
-    log_b = sigma * w + mu - 0.5 * sigma * sigma
     term1 = math.exp(mu) * norm_cdf(w - sigma)
-    term2 = math.exp(log_b + log_norm_cdf_complement(w))
+    term2 = math.exp(_log_b(mu, sigma, w) + log_norm_cdf_complement(w))
     return term1 + term2 - 1.0

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, mc, profit, statics, timing
-from .censor import solve_normal_censor, solve_normal_censor_array
+from .censor import CensorSolution, censor_time_path, solve_normal_censor
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams, ScaledParams
 from .special import exp_or_inf
@@ -95,8 +95,8 @@ def _write_csv(path: Path, header: list, rows) -> str:
 # ---------------------------------------------------------------------------
 # parameter plumbing
 
-def _scaled_from_args(args) -> ScaledParams:
-    """Resolve (mu, sigma) from either direct or horizon flags."""
+def _censor_from_args(args) -> CensorSolution:
+    """The censor at (mu, sigma) from either direct or horizon flags."""
     direct = args.mu is not None or args.sigma is not None
     horizon = args.mu_bar is not None or args.sigma2_bar is not None
     if direct and horizon:
@@ -104,11 +104,11 @@ def _scaled_from_args(args) -> ScaledParams:
     if direct:
         if args.mu is None or args.sigma is None:
             raise DomainError("--mu and --sigma must be given together")
-        return ScaledParams(mu=args.mu, sigma=args.sigma)
+        scaled = ScaledParams(mu=args.mu, sigma=args.sigma)
+        return solve_normal_censor(scaled.mu, scaled.sigma)
     if args.mu_bar is None or args.sigma2_bar is None:
         raise DomainError("--mu-bar and --sigma2-bar must be given together")
-    params = ModelParams.from_variance(args.mu_bar, args.sigma2_bar)
-    return ScaledParams.from_horizon(params, args.theta)
+    return censor_time_path(ModelParams.from_variance(args.mu_bar, args.sigma2_bar), args.theta)
 
 
 def _params_from_args(args) -> ModelParams:
@@ -142,11 +142,10 @@ def _load_config(path: str) -> dict:
 # subcommands
 
 def cmd_censor(args) -> int:
-    scaled = _scaled_from_args(args)
-    sol = solve_normal_censor(scaled.mu, scaled.sigma)
+    sol = _censor_from_args(args)
     _emit_record({
-        "mu": scaled.mu,
-        "sigma": scaled.sigma,
+        "mu": sol.mu,
+        "sigma": sol.sigma,
         "w": sol.w,
         "b_tilde": sol.b_tilde,
         "log_b_tilde": sol.log_b_tilde,
@@ -158,12 +157,11 @@ def cmd_censor(args) -> int:
 
 
 def cmd_profit(args) -> int:
-    scaled = _scaled_from_args(args)
-    sol = solve_normal_censor(scaled.mu, scaled.sigma)
-    log_g = profit.log_expected_profit(scaled.mu, scaled.sigma, sol.w)
+    sol = _censor_from_args(args)
+    log_g = profit.log_expected_profit(sol.mu, sol.sigma, sol.w)
     record = {
-        "mu": scaled.mu,
-        "sigma": scaled.sigma,
+        "mu": sol.mu,
+        "sigma": sol.sigma,
         "w": sol.w,
         "expected_profit": exp_or_inf(log_g),
         "log_expected_profit": log_g,
@@ -226,8 +224,8 @@ def cmd_figures(args) -> int:
     written = []
     for tag, sigma2 in _FIGURE_VARIANCES.items():
         params = ModelParams.from_variance(args.mu_bar, sigma2)
-        mu, sigma = params.scaled(thetas)
-        exact = profit.expected_profit(mu, sigma, solve_normal_censor_array(mu, sigma).w)
+        sol = censor_time_path(params, thetas)
+        exact = profit.expected_profit(sol.mu, sol.sigma, sol.w)
         approx = [asymptotics.g_asymptotic_theta(float(t), params, eps=args.eps).value
                   for t in thetas]
         written.append(_write_csv(out_dir / f"g_bar_{tag}.csv",
@@ -240,7 +238,7 @@ def cmd_figures(args) -> int:
     columns = [path_thetas]
     for kappa in _PATH_DISPERSIONS:
         params = ModelParams.from_variance(args.mu_bar, args.mu_bar / kappa)
-        columns.append(solve_normal_censor_array(*params.scaled(path_thetas)).log_b_tilde)
+        columns.append(censor_time_path(params, path_thetas).log_b_tilde)
     written.append(_write_csv(out_dir / "censor_path.csv",
                               ["theta"] + [f"log_b_kappa_{k:g}" for k in _PATH_DISPERSIONS],
                               zip(*columns)))

@@ -119,7 +119,8 @@ def _block_prices(scaled: ScaledParams, seed: int, start: int, k: int, out=None)
     x = inv_norm_cdf(p, out=raw.view(np.float64) if out is None else out)
     x *= scaled.sigma
     x += scaled.nu
-    return np.exp(x, out=x), p
+    with np.errstate(over="ignore"):  # a price past the float range is inf
+        return np.exp(x, out=x), p
 
 
 def _fan_out(task, n: int) -> list:
@@ -181,8 +182,9 @@ def _stats(d: np.ndarray) -> tuple[int, float, float]:
     up to the float maximum.
     """
     k = d.size
-    # a sum past the float range goes through d/k, and a square past it is inf
-    with np.errstate(over="ignore"):
+    # a sum past the float range goes through d/k, and a square past it is
+    # inf; a block that holds inf has a nan mean and M2
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = _mean(d, k)
         d -= mean
         shift = _mean(d, k)
@@ -211,7 +213,9 @@ def _estimate(x: np.ndarray) -> McEstimate:
 def _censored_stats(b, b_tilde, m, r, profit):
     """_stats of min(b, b_tilde), into m, and, if `profit`, of its reciprocal, into r."""
     m = np.minimum(b, b_tilde, out=m)
-    return [_stats(d) for d in ((m, np.reciprocal(m, out=r)) if profit else (m,))]
+    # a price that underflowed to 0 or below 1/DBL_MAX has an infinite reciprocal
+    with np.errstate(divide="ignore", over="ignore"):
+        return [_stats(d) for d in ((m, np.reciprocal(m, out=r)) if profit else (m,))]
 
 
 def _merged(block_stats, profit: bool):
@@ -299,13 +303,14 @@ def brute_force_optimal_u(scaled: ScaledParams, u_points: int = 400,
 
     q = (np.arange(quad_points) + 0.5) / quad_points
     b = np.exp(scaled.nu + scaled.sigma * inv_norm_cdf(q))
-    with np.errstate(over="ignore"):  # b**-2 past the float range is inf
+    # at large sigma b underflows: b**-2, 1/b and their sums are then inf
+    with np.errstate(over="ignore", divide="ignore"):
         b_inv2 = b ** -2.0
-    order = np.argsort(b_inv2, kind="stable")
-    b_inv2_sorted = b_inv2[order]
-    b_desc = b[order[::-1]]
-    s_inv = np.concatenate(([0.0], np.cumsum(1.0 / b_desc)))
-    s_b = np.concatenate(([0.0], np.cumsum(b_desc)))
+        order = np.argsort(b_inv2, kind="stable")
+        b_inv2_sorted = b_inv2[order]
+        b_desc = b[order[::-1]]
+        s_inv = np.concatenate(([0.0], np.cumsum(1.0 / b_desc)))
+        s_b = np.concatenate(([0.0], np.cumsum(b_desc)))
 
     u = np.linspace(0.0, 1.0, u_points + 1)
     k = quad_points - np.searchsorted(b_inv2_sorted, u, side="right")

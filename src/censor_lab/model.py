@@ -1,9 +1,9 @@
 """Model parameter types.
 
-ModelParams holds the raw drift/volatility pair of the price process;
-ScaledParams is the horizon-scaled view (mu = mu_bar * theta,
-sigma = sigma_bar * sqrt(theta)) that the censor and profit formulas
-consume.  Both are immutable and validated on construction.
+ModelParams holds the raw drift/volatility pair of the price process,
+and ``ModelParams.scaled`` maps horizons to (mu, sigma) = (mu_bar*theta,
+sigma_bar*sqrt(theta)); ScaledParams is that view at one theta, which the
+censor and profit formulas consume.  Both are immutable and validated.
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from .errors import DomainError
 def _require_positive_finite(name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _require_nonnegative_finite(name: str, value: float) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be a nonnegative finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +51,10 @@ class ModelParams:
         """kappa = mu_bar / sigma_bar^2."""
         return self.mu_bar / self.sigma2_bar
 
-    def scaled(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, sigma) over an array of horizons, scaled as ScaledParams.from_horizon."""
-        return self.mu_bar * thetas, self.sigma_bar * np.sqrt(thetas)
+    def scaled(self, theta):
+        """(mu, sigma) = (mu_bar*theta, sigma_bar*sqrt(theta)) at a float theta, or elementwise."""
+        root = np.sqrt(theta) if isinstance(theta, np.ndarray) else math.sqrt(theta)
+        return self.mu_bar * theta, self.sigma_bar * root
 
 
 @dataclass(frozen=True)
@@ -73,4 +79,4 @@ class ScaledParams:
     @classmethod
     def from_horizon(cls, params: ModelParams, theta: float) -> "ScaledParams":
         _require_positive_finite("theta", theta)
-        return cls(mu=params.mu_bar * theta, sigma=params.sigma_bar * math.sqrt(theta))
+        return cls(*params.scaled(theta))

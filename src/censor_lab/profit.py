@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from .censor import solve_normal_censor
+from .censor import censor_time_path, solve_normal_censor
 from .errors import DomainError
-from .model import ModelParams, ScaledParams
+from .model import ModelParams, _require_nonnegative_finite
 from .special import exp_or_inf, log_norm_cdf, log_norm_cdf_complement
 
 
@@ -46,27 +46,30 @@ def log_expected_profit(mu: float, sigma: float,
 
 
 def expected_profit(mu: float, sigma: float, w: float | None = None) -> float:
-    """g(mu, sigma) > 1, or inf for extreme sigma^2 - mu; elementwise like the log."""
+    """g(mu, sigma) >= 1 up to rounding (inf for extreme sigma^2 - mu); elementwise like the log."""
     return exp_or_inf(log_expected_profit(mu, sigma, w))
 
 
 def value_of_waiting(mu: float, sigma: float) -> float:
-    """g(mu, sigma) - h(1) = g - 1, the strict gain over buying at t = 0."""
+    """g(mu, sigma) - h(1) = g - 1, the gain over buying at t = 0.
+
+    It is positive mathematically, but reads <= 0 at the rounding level
+    where g ~ 1 (tiny sigma), and raises OverflowError from math.expm1
+    where log g > log(DBL_MAX) ~ 709.78.
+    """
     return math.expm1(log_expected_profit(mu, sigma))
 
 
 def g_bar(theta: float, params: ModelParams) -> float:
     """g along the horizon; g_bar(0) is the continuous extension 1."""
-    if theta < 0.0:
-        raise DomainError(f"theta must be nonnegative, got {theta}")
+    _require_nonnegative_finite("theta", theta)
     if theta == 0.0:
         return 1.0
-    scaled = ScaledParams.from_horizon(params, theta)
-    return expected_profit(scaled.mu, scaled.sigma)
+    sol = censor_time_path(params, theta)
+    return expected_profit(sol.mu, sol.sigma, sol.w)
 
 
 def myopic_profit(theta: float, params: ModelParams) -> float:
     """Expected profit with no forward contract: exp((sigma_bar^2 - mu_bar)*theta)."""
-    if theta < 0.0:
-        raise DomainError(f"theta must be nonnegative, got {theta}")
+    _require_nonnegative_finite("theta", theta)
     return exp_or_inf((params.sigma2_bar - params.mu_bar) * theta)

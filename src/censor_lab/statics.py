@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .censor import log_censor_F, solve_normal_censor, solve_normal_censor_array
+from .censor import censor_time_path, log_censor_F, solve_normal_censor
 from .errors import ConvergenceError, DomainError
 from .model import ModelParams
 from .roots import brentq
@@ -218,7 +218,7 @@ def censor_shape_check(params: ModelParams, points: int = 400) -> ShapeReport:
     if points < 8:
         raise DomainError(f"points must be at least 8, got {points}")
     thetas = np.geomspace(*SHAPE_THETA_RANGE, points)
-    log_b = solve_normal_censor_array(*params.scaled(thetas)).log_b_tilde
+    log_b = censor_time_path(params, thetas).log_b_tilde
     peak = int(np.argmax(log_b))
     rising = peak == points - 1
     return ShapeReport(shape="increasing" if rising else "unimodal",

@@ -34,9 +34,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .censor import solve_normal_censor, solve_normal_censor_array
+from .censor import censor_time_path
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams, ScaledParams
+from .model import ModelParams
 from .profit import g_bar, log_profit_terms
 from .roots import brentq
 from .special import exp_or_inf
@@ -75,14 +75,8 @@ class _Horizon(NamedTuple):
 
 def _horizon(theta, params: ModelParams) -> _Horizon:
     """One censor solve at theta > 0; an array of thetas is one call of the array kernel."""
-    if isinstance(theta, np.ndarray):
-        mu, sigma = params.scaled(theta)
-        sol = solve_normal_censor_array(mu, sigma)
-    else:
-        scaled = ScaledParams.from_horizon(params, theta)
-        mu, sigma = scaled.mu, scaled.sigma
-        sol = solve_normal_censor(mu, sigma)
-    log_growth, log_rest = log_profit_terms(mu, sigma, sol.w)
+    sol = censor_time_path(params, theta)
+    log_growth, log_rest = log_profit_terms(sol.mu, sol.sigma, sol.w)
     g = exp_or_inf(np.logaddexp(log_growth, log_rest))
     growth = exp_or_inf(log_growth)
     # g_bar' overflows where sigma_bar^2 is large, and is inf - inf = nan
@@ -92,12 +86,7 @@ def _horizon(theta, params: ModelParams) -> _Horizon:
 
 
 def g_bar_prime(theta: float, params: ModelParams) -> float:
-    """d g_bar / d theta for theta > 0, by the implicit-function theorem.
-
-    sigma_bar^2 * exp(sigma^2 - mu) * Phi(W + sigma) - mu_bar * (g - u) at
-    mu = mu_bar*theta, sigma = sigma_bar*sqrt(theta); the module docstring
-    derives it.
-    """
+    """d g_bar / d theta for theta > 0, in the closed form the module docstring derives."""
     return _horizon(theta, params).g_prime
 
 

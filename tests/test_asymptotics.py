@@ -56,8 +56,9 @@ class TestRegimeMap:
         near = ModelParams.from_variance(0.05, 0.1001)
         assert classify_regime(near) is Regime.HIGH_VAR
         assert classify_regime(near, eps=1e-3) is Regime.CRITICAL
-        with pytest.raises(DomainError):
-            classify_regime(near, eps=-1.0)
+        for eps in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                classify_regime(near, eps=eps)
 
 
 class TestCensorInSigma:
@@ -84,6 +85,13 @@ class TestCensorInSigma:
         with pytest.raises(DomainError):
             w_large_sigma(5.0, 1.0)  # sigma below mu_hat + 1
 
+    @pytest.mark.parametrize("mu,sigma", [(math.nan, 40.0), (0.05, math.nan),
+                                          (math.inf, 40.0), (0.05, math.inf)])
+    def test_nan_and_inf_rejected(self, mu, sigma):
+        for form in (w_small_sigma, w_large_sigma):
+            with pytest.raises(DomainError):
+                form(mu, sigma)
+
     def test_metadata(self):
         est = w_small_sigma(0.05, 0.01)
         assert est.valid_direction == "sigma->0+"
@@ -106,6 +114,10 @@ class TestProfitInSigma:
     def test_direction_validation(self):
         with pytest.raises(DomainError):
             g_asymptotic_sigma(0.05, 0.3, "sideways")
+        for mu, sigma in ((math.nan, 0.3), (0.05, math.nan), (math.inf, 0.3), (0.05, math.inf)):
+            for direction in ("large", "small"):
+                with pytest.raises(DomainError):
+                    g_asymptotic_sigma(mu, sigma, direction)
 
 
 class TestProfitInTheta:
@@ -158,6 +170,13 @@ class TestProfitInTheta:
         scaled = [abs(g_theta_gap(t, p)) * math.sqrt(t)
                   for t in (100.0, 400.0, 1600.0)]
         assert all(0.3 < s < 0.5 for s in scaled)
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
+    def test_theta_validation(self, theta):
+        p = params_for(Regime.MID_VAR)
+        for f in (g_asymptotic_theta, g_theta_gap, w_bar_asymptotic):
+            with pytest.raises(DomainError):
+                f(theta, p)
 
     def test_gap_requires_exact_critical_variance(self):
         p = ModelParams.from_variance(0.05, 0.1000001)

@@ -27,7 +27,8 @@ from censor_lab.censor import (
     solve_normal_censor_array,
 )
 from censor_lab.errors import ConvergenceError, DomainError
-from censor_lab.model import ModelParams
+from censor_lab.model import ModelParams, ScaledParams
+from censor_lab.profit import expected_profit, g_bar
 from censor_lab.special import inv_norm_cdf, norm_cdf, norm_cdf_complement
 
 EPS = np.finfo(float).eps
@@ -209,6 +210,44 @@ def _w_tolerance(mu, sigma, w):
     """
     log_fw = math.log(sigma) + sigma * w - 0.5 * sigma ** 2 + float(log_ndtr(-w))
     return 2.0 * 64.0 * EPS * (abs(w) + math.exp(min(-log_fw, 700.0)))
+
+
+class TestHorizonMap:
+    """censor_time_path is the one map from (params, theta) to a censor."""
+
+    PARAMS = ModelParams.from_variance(0.05, 0.07)
+    THETAS = np.geomspace(1e-3, 1e3, 100).reshape(2, 50)
+
+    def test_array_matches_float_path(self):
+        sol = censor_time_path(self.PARAMS, self.THETAS)
+        for field in ("mu", "sigma", "w", "b_tilde", "log_b_tilde", "u", "residual",
+                      "iterations"):
+            assert getattr(sol, field).shape == self.THETAS.shape
+        for i in np.ndindex(self.THETAS.shape):
+            one = censor_time_path(self.PARAMS, float(self.THETAS[i]))
+            assert abs(sol.w[i] - one.w) <= _w_tolerance(one.mu, one.sigma, one.w), i
+
+    def test_solution_holds_the_scaled_point(self):
+        sol = censor_time_path(self.PARAMS, self.THETAS)
+        mu, sigma = self.PARAMS.scaled(self.THETAS)
+        assert np.array_equal(sol.mu, mu) and np.array_equal(sol.sigma, sigma)
+        for theta in (1e-3, 0.37, 1.0, 42.0, 1e3):
+            one = censor_time_path(self.PARAMS, theta)
+            scaled = ScaledParams.from_horizon(self.PARAMS, theta)
+            assert (one.mu, one.sigma) == (scaled.mu, scaled.sigma)
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.nan])
+    def test_nonpositive_theta_raises_on_both_paths(self, theta):
+        with pytest.raises(DomainError):
+            censor_time_path(self.PARAMS, theta)
+        with pytest.raises(DomainError):
+            censor_time_path(self.PARAMS, np.array([1.0, theta]))
+
+    def test_g_bar_is_profit_at_the_scaled_point(self):
+        p = self.PARAMS
+        for theta in np.geomspace(1e-3, 1e3, 50).tolist():
+            assert g_bar(theta, p) == expected_profit(p.mu_bar * theta,
+                                                      p.sigma_bar * math.sqrt(theta))
 
 
 def _domain_sample():

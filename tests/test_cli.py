@@ -426,11 +426,13 @@ def _child_env():
     """The environment, with the directory censor_lab was imported from first on PYTHONPATH.
 
     pytest's `pythonpath` setting reaches this process only, so an uninstalled
-    checkout's child process needs it spelled out.
+    checkout's child process needs it spelled out.  A RuntimeWarning is an
+    error there, as the suite's warning filter makes it here.
     """
     src = str(Path(censor_lab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return env
 
 
@@ -442,6 +444,19 @@ class TestEntrypoint:
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["u"] > 0.0
+
+    def test_large_variance_mc_check_is_silent(self):
+        # sigma = 100: every price underflows to 0, and the record holds
+        # inf and nan, written as null
+        proc = subprocess.run(
+            [sys.executable, "-m", "censor_lab.cli", "mc-check",
+             "--sigma2-bar", "1e4", "--n", "10000", "--json"],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == EXIT_VERIFICATION
+        assert proc.stderr == ""
+        rec = json.loads(proc.stdout, parse_constant=_refuse_constant)
+        assert rec["sigma"] == 100.0 and rec["passed"] is False
+        assert rec["profit_closed_form"] is None and rec["profit_mc_mean"] is None
 
     def test_unknown_flag_is_usage_error(self):
         proc = subprocess.run(

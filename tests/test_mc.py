@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -280,13 +281,40 @@ class TestVerificationReport:
 
     def test_no_warning_at_large_variance(self):
         # sigma = 30: (1/m - mean)**2 and the brute force's b**-2 overflow to
-        # inf, which the suite's warning filters turn into errors if they leak
-        report = run_verification(ScaledParams(mu=0.05, sigma=30.0), 100_000, SEED)
-        assert 0.0 < report.martingale.mean < 1.0
-        assert math.isfinite(report.profit_mc.mean)
-        assert report.profit_mc.std_error == math.inf
-        assert report.profit_closed_form == math.inf
-        assert not report.passed
+        # inf.  From sigma ~ 35 prices underflow to 0: 1/m and 1/b are inf,
+        # as are the brute force's sums, and a block holding inf has a nan
+        # mean.  Any warning of these, from the library or from numpy's own
+        # Python code, is an error here.
+        reports = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for sigma in (30.0, 35.0, 100.0, 1000.0):
+                reports[sigma] = run_verification(ScaledParams(mu=0.05, sigma=sigma),
+                                                  100_000, SEED)
+        for report in reports.values():
+            assert report.profit_closed_form == math.inf
+            assert math.isnan(report.profit_deviation_se)
+            assert report.u_analytic == report.u_brute_force == 0.0
+            assert not report.passed
+
+        low = reports[30.0]
+        assert 0.0 < low.martingale.mean < 1.0
+        assert math.isfinite(low.profit_mc.mean)
+        assert low.profit_mc.std_error == math.inf
+
+        # some prices still above 0, their squared deviations below the
+        # smallest subnormal
+        mid = reports[35.0]
+        assert 0.0 < mid.martingale.mean < 1e-200
+        assert mid.martingale.std_error == 0.0
+        assert math.isnan(mid.profit_mc.mean)
+
+        # every price underflows to 0
+        for sigma in (100.0, 1000.0):
+            report = reports[sigma]
+            assert report.martingale.mean == report.martingale.std_error == 0.0
+            assert report.martingale_deviation_se == math.inf
+            assert math.isnan(report.profit_mc.mean) and math.isnan(report.profit_mc.std_error)
 
 
 def _stream_uniforms(monkeypatch, seed, n):

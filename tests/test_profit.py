@@ -122,10 +122,11 @@ class TestHorizonProfit:
 
     def test_negative_theta_rejected(self):
         params = ModelParams.from_variance(0.05, 0.07)
-        with pytest.raises(DomainError):
-            g_bar(-0.1, params)
-        with pytest.raises(DomainError):
-            myopic_profit(-0.1, params)
+        for theta in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                g_bar(theta, params)
+            with pytest.raises(DomainError):
+                myopic_profit(theta, params)
 
     def test_matches_pointwise_form(self):
         params = ModelParams.from_variance(0.05, 0.07)

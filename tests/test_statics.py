@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from censor_lab import censor as censor_module
 from censor_lab import statics as statics_module
 from censor_lab import timing as timing_module
 from censor_lab.censor import solve_normal_censor, solve_normal_censor_array
@@ -368,8 +369,9 @@ class TestShapeCheck:
             kernel.append(args)
             return solve_normal_censor_array(*args, **kwargs)
 
-        monkeypatch.setattr(statics_module, "solve_normal_censor", counting_scalar)
-        monkeypatch.setattr(statics_module, "solve_normal_censor_array", counting_kernel)
+        # censor_shape_check solves through censor.censor_time_path
+        monkeypatch.setattr(censor_module, "solve_normal_censor", counting_scalar)
+        monkeypatch.setattr(censor_module, "solve_normal_censor_array", counting_kernel)
         censor_shape_check(ModelParams.from_variance(0.05, 0.07))
         assert scalar == []
         assert len(kernel) == 1 and kernel[0][0].shape == (400,)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from censor_lab import censor as censor_module
 from censor_lab import profit as profit_module
 from censor_lab import statics as statics_module
 from censor_lab import timing as timing_module
@@ -107,14 +108,15 @@ class TestGBarPrime:
         assert solve_foc(make_params(s2)).foc_residual <= 1e-10
 
     def test_one_censor_solve_per_scan_point(self, monkeypatch):
-        # every module that imported the solver gets the counting wrapper
+        # every module that imported the solver gets the counting wrapper;
+        # timing solves through censor.censor_time_path
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return solve_normal_censor(*args, **kwargs)
 
-        for mod in (timing_module, profit_module):
+        for mod in (censor_module, profit_module):
             assert mod.solve_normal_censor is solve_normal_censor
             monkeypatch.setattr(mod, "solve_normal_censor", counting)
         solve_foc(ModelParams.from_variance(0.05, 0.07))
@@ -153,9 +155,9 @@ class TestArrayScan:
             kernel.append(args)
             return solve_normal_censor_array(*args, **kwargs)
 
-        for mod in (timing_module, profit_module):
+        for mod in (censor_module, profit_module):
             monkeypatch.setattr(mod, "solve_normal_censor", counting_scalar)
-        monkeypatch.setattr(timing_module, "solve_normal_censor_array", counting_kernel)
+        monkeypatch.setattr(censor_module, "solve_normal_censor_array", counting_kernel)
         solve_foc(ModelParams.from_variance(0.05, 0.07))
         assert len(scalar) <= 20
         assert len(kernel) == 1
@@ -230,7 +232,7 @@ class TestNoReSolves:
             scalar.append(args)
             return solve_normal_censor(*args, **kwargs)
 
-        for mod in (timing_module, profit_module, statics_module):
+        for mod in (censor_module, profit_module, statics_module):
             monkeypatch.setattr(mod, "solve_normal_censor", counting)
         solve_foc(ModelParams.from_variance(0.05, 0.07))
         # brentq's bracket ends and iterates; its root is not solved again
