@@ -63,8 +63,6 @@ _LAST_STEP = 1e-10
 
 def censor_F(w: float, sigma: float) -> float:
     """F(w, sigma) = exp(log F); monotone increasing in w, with values in [0, 1]."""
-    if sigma < 0.0 or not math.isfinite(w):
-        raise DomainError(f"censor_F needs sigma >= 0 and finite w, got ({w}, {sigma})")
     return math.exp(log_censor_F(w, sigma))
 
 
@@ -79,9 +77,9 @@ def _log_F(w: float, sigma: float) -> tuple[float, float]:
 
 
 def log_censor_F(w: float, sigma: float) -> float:
-    """log F(w, sigma); usable far into the left tail where F underflows."""
-    if sigma < 0.0 or not math.isfinite(w):
-        raise DomainError(f"log_censor_F needs sigma >= 0 and finite w, got ({w}, {sigma})")
+    """log F(w, sigma) at finite w and sigma >= 0; usable far left, where F underflows."""
+    if not (0.0 <= sigma < math.inf and math.isfinite(w)):
+        raise DomainError(f"censor F needs finite sigma >= 0 and finite w, got ({w}, {sigma})")
     if sigma == 0.0:
         return 0.0
     # F <= 1, so the log is capped at 0 (the sum can poke above by an ulp)
@@ -236,7 +234,7 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
     step below _LAST_STEP * max(1, |w|) is taken as its last.  Every pass
     steps the whole array and freezes the finished elements.
 
-    The domain is _MU_MIN <= mu <= 700 and 0 < sigma < inf: mu may go
+    The domain is _MU_MIN <= mu <= 700 and 0 < sigma <= SIGMA_MAX: mu may go
     below ~1.1e-16, where exp(-mu) rounds to 1, down to the smallest
     normal float.  ``residual`` is |F - exp(-mu)|, held to DEFAULT_TOL,
     taken as exp(-mu)*|expm1(h(W))|; errors name the offending element by

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -142,17 +143,7 @@ def _load_config(path: str) -> dict:
 # subcommands
 
 def cmd_censor(args) -> int:
-    sol = _censor_from_args(args)
-    _emit_record({
-        "mu": sol.mu,
-        "sigma": sol.sigma,
-        "w": sol.w,
-        "b_tilde": sol.b_tilde,
-        "log_b_tilde": sol.log_b_tilde,
-        "u": sol.u,
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-    }, args)
+    _emit_record(asdict(_censor_from_args(args)), args)
     return EXIT_OK
 
 
@@ -250,15 +241,14 @@ def cmd_figures(args) -> int:
 def cmd_statics(args) -> int:
     did_something = False
     if args.omega_sweep is not None:
-        parts = args.omega_sweep.split(":")
-        if len(parts) != 3:
-            raise DomainError("--omega-sweep expects start:stop:points")
         try:
-            start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, points = args.omega_sweep.split(":")
+            start, stop, points = float(start), float(stop), int(points)
         except ValueError as exc:
-            raise DomainError(f"bad --omega-sweep value: {exc}") from exc
-        if not (0.0 < start < stop) or points < 2:
-            raise DomainError("--omega-sweep needs 0 < start < stop and points >= 2")
+            raise DomainError("--omega-sweep expects start:stop:points, "
+                              f"got {args.omega_sweep!r}") from exc
+        if not (0.0 < start < stop < math.inf) or points < 2:
+            raise DomainError("--omega-sweep needs finite 0 < start < stop and points >= 2")
         sigmas = np.linspace(start, stop, points)
         records = [{"sigma": float(s), "omega": float(w)}
                    for s, w in zip(sigmas, statics.omega_sweep(sigmas))]

@@ -40,6 +40,16 @@ class TestCensorF:
     def test_sigma_zero_is_one(self):
         for w in [-5.0, 0.0, 3.0, 40.0]:
             assert censor_F(w, 0.0) == 1.0
+            assert log_censor_F(w, 0.0) == 0.0
+
+    @pytest.mark.parametrize("w,sigma", [(1.0, -0.5), (1.0, math.nan), (1.0, math.inf),
+                                         (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5)])
+    def test_domain_errors(self, w, sigma):
+        # min(0.0, nan) is 0.0: log_censor_F(1, nan) read 0.0 and censor_F(1, inf)
+        # read 1.0, where F -> 0 as sigma -> inf
+        for f in (censor_F, log_censor_F):
+            with pytest.raises(DomainError):
+                f(w, sigma)
 
     def test_limits_in_w(self):
         # left tail decays like exp(sigma*w); right limit is 1

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,16 @@ class TestStaticsCommand:
         for spec in ("1:2", "1:x:5", "2:1:5"):
             code, _, _ = run(capsys, "statics", "--omega-sweep", spec)
             assert code == EXIT_USAGE, spec
+
+    @pytest.mark.parametrize("spec", ["1:1e100:3", "0.1:inf:3"])
+    def test_sweep_beyond_the_censor_domain(self, capsys, spec):
+        # the first printed "omega": -0.5, the bracket end; the second let
+        # np.linspace warn on inf and reported "got nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "statics", "--omega-sweep", spec, "--json")
+        assert code == EXIT_USAGE and out == ""
+        assert "nan" not in err
 
     def test_requires_some_work(self, capsys):
         code, _, err = run(capsys, "statics")

@@ -208,17 +208,39 @@ class TestOmegaCurve:
             omega_curve(1e-8)
 
     def test_bracket_ends_evaluated_once(self, monkeypatch):
-        # brentq takes the sign check's two end values from its caller
-        calls, log_censor_F = [], statics_module.log_censor_F
+        # newton takes the sign check's two end values from its caller:
+        # the two ends and seven Newton points, none of them twice
+        calls, log_F = [], statics_module._log_F
 
         def counting(w, sigma):
             calls.append(w)
-            return log_censor_F(w, sigma)
+            return log_F(w, sigma)
 
-        monkeypatch.setattr(statics_module, "log_censor_F", counting)
+        monkeypatch.setattr(statics_module, "_log_F", counting)
         omega_curve(1.0)
-        assert len(calls) == 10
+        assert len(calls) == 9
         assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("sigma", [math.nextafter(censor_module.SIGMA_MAX, math.inf),
+                                       1e100, math.inf, math.nan])
+    def test_refused_above_the_censor_domain(self, sigma):
+        # above SIGMA_MAX the root lost digits (9.4 relative at 1e8) and then
+        # left omega's range: -0.5, the bracket end, at 1e100
+        with pytest.raises(DomainError, match="sigma >= "):
+            omega_curve(sigma)
+
+    def test_top_of_the_domain_against_mpmath(self):
+        sigma = censor_module.SIGMA_MAX
+        with mpmath.workdps(60):
+            s = mpmath.mpf(sigma)
+
+            def g(w):
+                log_f = mpmath.log(mpmath.ncdf(w - s) + mpmath.exp(s * w - s * s / 2)
+                                   * mpmath.ncdf(-w))
+                return -s / 2 * mpmath.npdf(s - w) / mpmath.ncdf(w - s) - log_f
+
+            want = float(mpmath.findroot(g, 0.386 / sigma))
+        assert omega_curve(sigma) == pytest.approx(want, rel=1e-7)
 
     @given(st.floats(math.log(1e-8), math.log(1e3)).map(math.exp))
     @settings(max_examples=60, deadline=None)
@@ -309,6 +331,20 @@ class TestStationarity:
         monkeypatch.setattr(statics_module, "solve_normal_censor", counting)
         stationarity_solve(1.0)
         assert calls and len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("kappa,brent_solves", [(0.7, 12), (1.0, 14), (2.0, 15)])
+    def test_fewer_solves_than_brent(self, monkeypatch, kappa, brent_solves):
+        # Newton on the closed-form slope: two bracket ends and 7-9 steps,
+        # where Brent's method took 10-13
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_normal_censor(*args, **kwargs)
+
+        monkeypatch.setattr(statics_module, "solve_normal_censor", counting)
+        stationarity_solve(kappa)
+        assert len(calls) <= brent_solves - 3
 
     @given(st.floats(0.5, 1e6, exclude_min=True))
     @settings(max_examples=60, deadline=None)

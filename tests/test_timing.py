@@ -7,6 +7,7 @@ point must coincide with the grid argmax to within the grid spacing.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,16 @@ class TestGBarPrime:
         p = make_params(s2)
         assert g_bar_prime(theta, p) == pytest.approx(
             central_difference(theta, p), rel=1e-6)
+
+    @pytest.mark.parametrize("s2", VARIANCES)
+    @pytest.mark.parametrize("theta", (0.01, 0.3, 0.7))
+    def test_revenue_second_matches_central_difference(self, s2, theta):
+        # R'' steers solve_foc's Newton steps; the oracle differences the closed-form R'
+        p, h = make_params(s2), 1e-5 * theta
+        want = (timing_module._revenue_prime(theta + h, p)
+                - timing_module._revenue_prime(theta - h, p)) / (2.0 * h)
+        at = timing_module._horizon(theta, p)
+        assert at.revenue_second(theta, p) == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("s2", VARIANCES)
     def test_foc_residual_at_machine_level(self, s2):
@@ -214,6 +225,16 @@ class TestCaseII:
             with pytest.raises(DomainError):
                 theta_case_ii(a)
 
+    def test_within_an_ulp_of_mpmath(self):
+        # Brent's method, which stopped at a bracket of 1e-15, was 4.02 ulp off at worst
+        with mpmath.workdps(50):
+            for alpha in np.geomspace(1e-8, 200.0, 300).tolist():
+                a = mpmath.mpf(alpha)
+                want = mpmath.findroot(lambda t: -mpmath.expm1(-a * t) / a - (1 - t),
+                                       (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
+                got = theta_case_ii(alpha).exact
+                assert abs(got - want) <= math.ulp(float(want)), alpha
+
     @given(log_uniform(1e-300, 1e300))
     @settings(max_examples=60, deadline=None)
     def test_finite_or_typed_error(self, alpha):
@@ -222,6 +243,21 @@ class TestCaseII:
         except (DomainError, ConvergenceError):
             return
         assert 0.0 <= res.exact <= 1.0
+
+
+class TestNewtonRefinement:
+    @pytest.mark.parametrize("s2,brent_solves", [(0.03, 5), (0.07, 6), (0.15, 6)])
+    def test_no_more_solves_than_brent(self, monkeypatch, s2, brent_solves):
+        # the two cell ends, then Newton on R' and R'' from their secant point
+        scalar = []
+
+        def counting(*args, **kwargs):
+            scalar.append(args)
+            return solve_normal_censor(*args, **kwargs)
+
+        monkeypatch.setattr(censor_module, "solve_normal_censor", counting)
+        solve_foc(make_params(s2))
+        assert len(scalar) <= brent_solves
 
 
 class TestNoReSolves:
