@@ -384,7 +384,7 @@ def censor_time_path(params: ModelParams, theta) -> CensorSolution:
     """b_bar(theta) = b_tilde(mu_bar*theta, sigma_bar*sqrt(theta)); an array is one kernel call."""
     if isinstance(theta, np.ndarray):
         if not (theta > 0.0).all():
-            raise DomainError(f"theta must be positive, got {theta[~(theta > 0.0)][0]!r}")
+            raise DomainError(f"theta must be positive, got {float(theta[~(theta > 0.0)][0])!r}")
         return solve_normal_censor_array(*params.scaled(theta))
     scaled = ScaledParams.from_horizon(params, theta)
     return solve_normal_censor(scaled.mu, scaled.sigma)

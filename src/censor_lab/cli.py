@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 internal numerical failure, 2 usage error,
 3 verification failure.
 
 Defaults are layered: built-in < CENSOR_LAB_SEED environment variable
-(seed only) < ``--config`` key=value file < explicit flags.
+(seed only) < ``--config`` key=value file < explicit flags.  The layers
+belong to one call: a call that has any builds a parser of its own and
+parses again, and the parser shared by calls is never changed.
 """
 
 from __future__ import annotations
@@ -201,8 +203,8 @@ def cmd_timing(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    if args.theta_max <= 0.01:
-        raise DomainError(f"--theta-max must exceed 0.01, got {args.theta_max}")
+    if not 0.01 < args.theta_max < math.inf:
+        raise DomainError(f"--theta-max must be finite and exceed 0.01, got {args.theta_max}")
     if args.points < 2:
         raise DomainError(f"--points must be at least 2, got {args.points}")
     out_dir = Path(args.out)
@@ -367,65 +369,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2-bar", type=float, default=0.07)
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=_BUILTIN_SEED)
     p.add_argument("--strict", action="store_true",
                    help="allow n < 10^4 and still fail on tolerance breaches")
     _add_output_flags(p)
     p.set_defaults(func=cmd_mc_check)
-
-    # argparse resolves defaults per subparser, so layered defaults must be
-    # pushed into each one; keep the handles around for that.
-    parser._lab_subparsers = [sp for sp in sub.choices.values()]
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built once; main undoes each call's layers, one call at a time."""
+    """``build_parser()``, built once and never changed: a layered call builds its own."""
     return build_parser()
 
 
-def _apply_default_layers(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Built-in < env seed < config file, whose keys must be flags.  Explicit flags win.
+def _commands(parser: argparse.ArgumentParser):
+    """The subcommand parsers of a ``build_parser()`` parser."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices.values()
 
-    Returns (subparser, replaced defaults) pairs, for main to restore.
-    """
+
+def _layers(config_path) -> dict:
+    """This call's defaults over the built-in ones: env seed < config file, whose keys must be flags."""
     env_seed = os.environ.get("CENSOR_LAB_SEED")
-    defaults = {}
+    layers = {}
     if env_seed is not None:
         try:
-            defaults["seed"] = int(env_seed)
+            layers["seed"] = int(env_seed)
         except ValueError:
             raise DomainError(f"CENSOR_LAB_SEED must be an integer, got {env_seed!r}")
-    pre, _ = parser.parse_known_args(argv)
-    config_path = getattr(pre, "config", None)
     if config_path is not None:
         config = _load_config(config_path)
-        flags = {a.dest for sp in parser._lab_subparsers
-                 for a in sp._actions if a.option_strings}
+        flags = {a.dest for sp in _commands(_parser()) for a in sp._actions if a.option_strings}
         unknown = ", ".join(sorted(config.keys() - flags))
         if unknown:
             raise DomainError(f"{config_path}: no command has a flag for key(s) {unknown}")
-        defaults.update(config)
-    replaced = []
-    for sp in [parser] + parser._lab_subparsers:
+        layers.update(config)
+    return layers
+
+
+def _layered_parser(layers: dict) -> argparse.ArgumentParser:
+    """A parser of one call's own, each command taking the layers it has a flag for.
+
+    argparse resolves defaults per subparser, and converts a string
+    default by its flag's type, as it does a flag's value.
+    """
+    parser = build_parser()
+    for sp in _commands(parser):
         known = {a.dest for a in sp._actions}
-        applicable = {k: v for k, v in defaults.items() if k in known}
-        if applicable:
-            replaced.append((sp, {k: sp.get_default(k) for k in applicable}))
-            sp.set_defaults(**applicable)
-    return replaced
+        sp.set_defaults(**{k: v for k, v in layers.items() if k in known})
+    return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _parser()
-    replaced = []
     try:
-        replaced = _apply_default_layers(parser, argv)
-        args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _BUILTIN_SEED
+        args = _parser().parse_args(argv)
+        layers = _layers(args.config)
+        if layers:
+            args = _layered_parser(layers).parse_args(argv)
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -436,9 +438,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        for sp, previous in replaced:
-            sp.set_defaults(**previous)
 
 
 def entrypoint() -> None:

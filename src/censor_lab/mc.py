@@ -210,42 +210,41 @@ def _estimate(x: np.ndarray) -> McEstimate:
     return _merge(_stats(block) for block in _blocks(x))
 
 
-def _censored_stats(b, b_tilde, m, r, profit):
-    """_stats of min(b, b_tilde), into m, and, if `profit`, of its reciprocal, into r."""
+def _censored_stats(b, b_tilde, m, r):
+    """_stats of min(b, b_tilde), into m, and of its reciprocal, into r."""
     m = np.minimum(b, b_tilde, out=m)
-    # a price that underflowed to 0 or below 1/DBL_MAX has an infinite reciprocal
+    # a price that underflowed to 0 or below 1/DBL_MAX has an infinite
+    # reciprocal; it is taken before _stats overwrites m
     with np.errstate(divide="ignore", over="ignore"):
-        return [_stats(d) for d in ((m, np.reciprocal(m, out=r)) if profit else (m,))]
+        r = np.reciprocal(m, out=r)
+    return _stats(m), _stats(r)
 
 
-def _merged(block_stats, profit: bool):
+def _merged(block_stats):
     """The _censored_estimates of the blocks' _censored_stats, merged in block order."""
-    merged = [_merge(stats) for stats in zip(*block_stats)]
-    return merged[0], merged[1] if profit else None
+    return tuple(_merge(stats) for stats in zip(*block_stats))
 
 
-def _censored_estimates(blocks, b_tilde: float, profit: bool = True):
-    """Estimates of E[min(b, b_tilde)] and, if `profit`, E[1 / min(b, b_tilde)] over blocks of b."""
+def _censored_estimates(blocks, b_tilde: float):
+    """Estimates of E[min(b, b_tilde)] and E[1 / min(b, b_tilde)] over blocks of b."""
     m, r = np.empty(_BLOCK), np.empty(_BLOCK)
-    return _merged([_censored_stats(b, b_tilde, m[:b.size], r[:b.size], profit)
-                    for b in blocks], profit)
+    return _merged([_censored_stats(b, b_tilde, m[:b.size], r[:b.size]) for b in blocks])
 
 
-def _stream_estimates(scaled: ScaledParams, n: int, seed: int, b_tilde: float,
-                      profit: bool = True):
+def _stream_estimates(scaled: ScaledParams, n: int, seed: int, b_tilde: float):
     """_censored_estimates over the n prices of the seed's stream, drawn by _fan_out."""
     def stats(start, k):
         b, scratch = _block_prices(scaled, seed, start, k)
-        return _censored_stats(b, b_tilde, b, scratch, profit)
+        return _censored_stats(b, b_tilde, b, scratch)
 
-    return _merged(_fan_out(stats, n), profit)
+    return _merged(_fan_out(stats, n))
 
 
 def mc_censored_mean(sample: PriceSample, beta: float) -> McEstimate:
     """Estimate of E[min(b, beta)]; beta = +inf leaves the sample uncensored."""
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    return _censored_estimates(_blocks(sample.values), beta, profit=False)[0]
+    return _censored_estimates(_blocks(sample.values), beta)[0]
 
 
 def mc_expected_profit(sample: PriceSample, b_tilde: float) -> McEstimate:
@@ -259,7 +258,7 @@ def mc_martingale_check(scaled: ScaledParams, n: int, seed: int) -> McEstimate:
     """E[min(b, b_tilde)] estimate; deviation from 1 is the headline check."""
     _check_draw(n, seed, n_min=10_000)
     beta = censor_price(scaled.mu, scaled.sigma)
-    return _stream_estimates(scaled, n, seed, beta, profit=False)[0]
+    return _stream_estimates(scaled, n, seed, beta)[0]
 
 
 class BruteForceResult(NamedTuple):

@@ -169,7 +169,8 @@ def stationarity_solve(kappa: float | None = None,
     crude under- and over-estimates of ``_crude_bracket``.  That bracket is
     checked, not widened: a residual of the wrong sign at either end raises
     a ConvergenceError, which a sweep of kappa in the tests sees only where
-    the drift cap binds (kappa below ~0.5015).  Each sigma is solved once,
+    the drift cap binds (kappa below 0.50025, measured: kappa = 0.50024
+    raises, 0.50025 gives sigma_star = 35.76).  Each sigma is solved once,
     the bracket ends and the residual at sigma_star included.  No solution
     exists for kappa < 1/2.  At kappa == 1/2 the stationary point recedes to
     infinity: sigma*(kappa) diverges as kappa -> 1/2+ (the residual plateaus

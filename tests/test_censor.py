@@ -253,6 +253,10 @@ class TestHorizonMap:
         with pytest.raises(DomainError):
             censor_time_path(self.PARAMS, np.array([1.0, theta]))
 
+    def test_array_error_writes_theta_as_a_float(self):
+        with pytest.raises(DomainError, match="got nan"):
+            censor_time_path(self.PARAMS, np.array([1.0, np.nan]))
+
     def test_g_bar_is_profit_at_the_scaled_point(self):
         p = self.PARAMS
         for theta in np.geomspace(1e-3, 1e3, 50).tolist():

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, defaults layering."""
 
+import argparse
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import censor_lab
+from censor_lab import cli
 from censor_lab.asymptotics import g_asymptotic_theta
 from censor_lab.censor import solve_normal_censor
 from censor_lab.cli import (
@@ -241,6 +243,15 @@ class TestFiguresCommand:
         assert code == EXIT_USAGE
         assert "--theta-max" in err
 
+    @pytest.mark.parametrize("theta_max", ["nan", "inf"])
+    def test_theta_max_must_be_finite(self, capsys, tmp_path, theta_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "figures", "--out", str(tmp_path),
+                               "--theta-max", theta_max)
+        assert code == EXIT_USAGE
+        assert "--theta-max" in err
+
 
 class TestStaticsCommand:
     def test_stationarity_record(self, capsys):
@@ -348,6 +359,56 @@ class TestMcCheckCommand:
         _, out, _ = run(capsys, "mc-check", "--n", "10000", "--json")
         assert json.loads(out)["seed"] == 12345
 
+    def test_nested_call_sees_no_outer_layers(self, capsys, monkeypatch, tmp_path):
+        # a call made while another runs parses with the built-in defaults,
+        # not the outer call's config
+        monkeypatch.delenv("CENSOR_LAB_SEED", raising=False)
+        real = cli.mc.run_verification
+        nested = []
+
+        def run_verification(scaled, n, seed):
+            monkeypatch.setattr(cli.mc, "run_verification", real)
+            main(["mc-check", "--n", "10000", "--json"])
+            nested.append(json.loads(capsys.readouterr().out)["seed"])
+            return real(scaled, n=n, seed=seed)
+
+        monkeypatch.setattr(cli.mc, "run_verification", run_verification)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 31\n")
+        _, out, _ = run(capsys, "mc-check", "--n", "10000", "--config", str(cfg), "--json")
+        assert nested == [12345]
+        assert json.loads(out)["seed"] == 31
+
+    def test_unlayered_call_parses_once(self, capsys, monkeypatch):
+        # one parse_known_args for the command line, one for its subcommand
+        monkeypatch.delenv("CENSOR_LAB_SEED", raising=False)
+        calls = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def parse_known_args(self, *args, **kwargs):
+            calls.append(self.prog)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse_known_args)
+        code, _, _ = run(capsys, "mc-check", "--n", "10000", "--json")
+        assert code == EXIT_OK
+        assert len(calls) <= 2, calls
+
+    def test_layered_calls_leave_the_shared_parser_alone(self, capsys, monkeypatch, tmp_path):
+        def defaults():
+            return [vars(sp.parse_args([])) for sp in cli._commands(cli._parser())]
+
+        before = defaults()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 31\nmu_bar = 0.06\nsigma = 0.4\n")
+        monkeypatch.setenv("CENSOR_LAB_SEED", "777")
+        run(capsys, "mc-check", "--n", "10000", "--json")
+        run(capsys, "mc-check", "--n", "10000", "--config", str(cfg), "--json")
+        monkeypatch.delenv("CENSOR_LAB_SEED")
+        run(capsys, "censor", "--mu", "0.05", "--config", str(cfg), "--json")
+        assert defaults() == before
+        assert cli._parser().parse_args(["mc-check"]).seed == 12345
+
     def test_deterministic_given_seed(self, capsys):
         _, first, _ = run(capsys, "mc-check", "--n", "20000", "--seed", "9",
                           "--json")
@@ -426,6 +487,29 @@ class TestConfigLayer:
         code, out, _ = run(capsys, "censor", "--config", str(cfg), "--json")
         assert code == EXIT_OK
         assert json.loads(out)["sigma"] == 0.3
+
+    def test_config_value_is_converted_by_the_flag_type(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-check", "--config", str(cfg)])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_config_switch_on(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("json = 1\n")
+        code, out, _ = run(capsys, "censor", "--mu", "0.05", "--sigma", "0.3",
+                           "--config", str(cfg))
+        assert code == EXIT_OK
+        assert json.loads(out)["sigma"] == 0.3
+
+    def test_config_non_integer_seed_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1.5\n")
+        code, out, err = run(capsys, "mc-check", "--n", "10000", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "seed" in err and out == ""
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "censor", "--config",
