@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .censor import censor_time_path, large_sigma_start, lower_start, mu_hat
 from .errors import DomainError
@@ -31,8 +32,7 @@ class Regime(enum.Enum):
     CRITICAL = "critical"      # sigma_bar^2 = 2*mu_bar
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     value: float
     valid_direction: str
     error_order: str
@@ -100,18 +100,16 @@ def g_asymptotic_theta(theta: float, params: ModelParams,
     """
     _require_positive_finite("theta", theta)
     regime = classify_regime(params, eps)
-    alpha = params.sigma2_bar - params.mu_bar
     if regime is Regime.LOW_VAR:
         value = 1.0
-    elif regime is Regime.MID_VAR:
-        value = 1.0 + exp_or_inf(alpha * theta)
-    elif regime is Regime.HIGH_VAR:
-        value = exp_or_inf(alpha * theta)
-    else:
+    elif regime is Regime.CRITICAL:
         expo = params.mu_bar * theta + log_norm_cdf(math.sqrt(2.0 * params.mu_bar * theta))
         value = 0.25 + exp_or_inf(expo)
-    return AsymptoticEstimate(value=value, valid_direction="theta->inf",
-                              error_order="o(1/sqrt(theta))")
+    else:  # exp(alpha*theta), alpha = sigma_bar^2 - mu_bar, plus 1 in MID_VAR
+        value = exp_or_inf((params.sigma2_bar - params.mu_bar) * theta)
+        if regime is Regime.MID_VAR:
+            value = 1.0 + value
+    return AsymptoticEstimate(value, "theta->inf", "o(1/sqrt(theta))")
 
 
 def g_theta_gap(theta: float, params: ModelParams, eps: float = 0.0) -> float:

@@ -22,18 +22,19 @@ numpy's per-call overhead on each of its array operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import ConvergenceError, DomainError
-from .model import ModelParams, ScaledParams
+from .model import ModelParams, _require_positive_finite
 from .special import (
     INV_SQRT_2PI,
     SQRT_2PI,
     exp_or_inf,
     hazard,
+    log_add_exp,
     log_norm_cdf,
     log_norm_cdf_complement,
     norm_cdf,
@@ -53,7 +54,6 @@ _MU_MIN = float(np.finfo(float).tiny)
 SIGMA_MAX = 1e4
 
 _EPS = float(np.finfo(float).eps)
-_LOG_2 = math.log(2.0)
 
 # the solve takes a left step this small relative to max(1, |w|)
 # as its last: Newton's quadratic convergence leaves an error of order
@@ -67,13 +67,9 @@ def censor_F(w: float, sigma: float) -> float:
 
 
 def _log_F(w: float, sigma: float) -> tuple[float, float]:
-    """(log F(w, sigma), b) on floats, b the log of F's second term, as np.logaddexp sums them."""
-    a = float(log_ndtr(w - sigma))
+    """(log F(w, sigma), b) on floats, b the log of F's second term."""
     b = sigma * w - 0.5 * sigma * sigma + float(log_ndtr(-w))
-    if a == b:
-        return a + _LOG_2, b
-    hi, lo = (a, b) if a > b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi)), b
+    return log_add_exp(float(log_ndtr(w - sigma)), b), b
 
 
 def log_censor_F(w: float, sigma: float) -> float:
@@ -86,8 +82,7 @@ def log_censor_F(w: float, sigma: float) -> float:
     return min(0.0, _log_F(w, sigma)[0])
 
 
-@dataclass(frozen=True)
-class CensorSolution:
+class CensorSolution(NamedTuple):
     """Solved censor: the point (mu, sigma), normal coordinate, price, quantity, diagnostics.
 
     From ``solve_normal_censor_array`` every field is an array of the
@@ -145,7 +140,9 @@ def large_sigma_start(mu: float, sigma: float) -> float:
 
 def _residual(mu, h):
     """|F - exp(-mu)| as exp(-mu)*|expm1(h)|, without the cancellation near F = 1."""
-    return np.exp(-mu) * np.abs(np.expm1(h))
+    if isinstance(h, np.ndarray):
+        return np.exp(-mu) * np.abs(np.expm1(h))
+    return float(np.exp(-mu)) * abs(math.expm1(h))
 
 
 def _log_b(mu, sigma, w):
@@ -174,11 +171,12 @@ def _loss_inverse(y: np.ndarray) -> np.ndarray:
     log psi and its derivative -1/(H(w) - w) cost one log_ndtr and one
     hazard; two steps are plenty for a seed.
     """
+    log_y = np.log(y)
     w = np.where(y < INV_SQRT_2PI, np.sqrt(-2.0 * np.log(y * SQRT_2PI)),
                  INV_SQRT_2PI - y)
     for _ in range(2):
         gap = hazard(w) - w
-        w = w + (log_norm_cdf_complement(w) + np.log(gap) - np.log(y)) * gap
+        w = w + (log_norm_cdf_complement(w) + np.log(gap) - log_y) * gap
     return w
 
 
@@ -199,15 +197,14 @@ def _seed_array(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.stack([lower, small, large])
 
 
-def _newton_step(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray):
-    """h = log F(w, sigma) + mu and the Newton step -h/h' on it, elementwise."""
-    b = sigma * w - 0.5 * sigma * sigma + log_norm_cdf_complement(w)
+def _newton_step(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray, half_s2: np.ndarray):
+    """h = log F(w, sigma) + mu and the Newton step -h/h', elementwise; half_s2 is sigma^2/2."""
+    b = sigma * w - half_s2 + log_norm_cdf_complement(w)
     log_f = np.logaddexp(log_norm_cdf(w - sigma), b)
     h = log_f + mu
     # h' = F_w / F = sigma * exp(b - log F); it underflows to 0 far out
     # on the flat right of F, where the capped step takes over
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return h, -h / (sigma * np.exp(b - log_f))
+    return h, -h / (sigma * np.exp(b - log_f))
 
 
 def _element(mu: np.ndarray, sigma: np.ndarray, i: int) -> str:
@@ -250,44 +247,51 @@ def solve_normal_censor_array(mu, sigma) -> CensorSolution:
         raise DomainError(
             f"censor input {_element(mu, sigma, int(np.argmin(ok)))} outside {_DOMAIN}")
 
-    # the far tails overflow on the way, and a seed form is nan where it
-    # does not apply; a nan step never wins the selection
+    n, half_s2 = mu.size, 0.5 * sigma * sigma
+    # the far tails overflow on the way, a seed form is nan where it does
+    # not apply, and h' underflows to 0 far right; a nan step never wins
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         starts = _seed_array(mu, sigma)
-        h, step = _newton_step(starts, mu, sigma)
+        h, step = _newton_step(starts, mu, sigma, half_s2)
         # every start with h <= 0 lies left of the root
         lower = np.maximum(starts[0], np.where(h <= 0.0, starts, -math.inf).max(axis=0))
         size = np.abs(step)
-        pick = (np.argmin(np.where(np.isnan(size), math.inf, size), axis=0), np.arange(mu.size))
-    w, h, step = starts[pick], h[pick], step[pick]
+        pick = np.argmin(np.where(np.isnan(size), math.inf, size), axis=0) * n + np.arange(n)
+        w, h, step = starts.take(pick), h.take(pick), step.take(pick)
 
-    cap = np.maximum(0.5, 0.05 * np.abs(w))
-    was_left = np.zeros(mu.size, dtype=bool)
-    live = np.ones(mu.size, dtype=bool)
-    iterations = np.ones(mu.size, dtype=np.int64)
-    for _ in range(MAX_ITER):
-        # h == 0 goes the careful way too: its step can be 0/0
-        right = live & (h >= 0.0)
-        capped = right & ~(step >= -cap)
-        step = np.where(capped, -cap, step)
-        cap = np.where(capped, 2.0 * cap, cap)
-        lower = np.where(right, lower, w)
-        new = np.maximum(w + step, lower)
-        done = (right & was_left) | (h == 0.0) | (np.abs(new - w) <= 2.0 * _EPS * np.abs(w))
-        last = ~right & (np.abs(step) <= _LAST_STEP * np.maximum(1.0, np.abs(w)))
-        w = np.where(live & ~done, new, w)
-        live &= ~(done | last)
-        was_left |= ~right
-        if not live.any():
-            break
-        h, step = _newton_step(w, mu, sigma)
-        iterations += live
-    else:
-        raise ConvergenceError(f"censor not converged in {MAX_ITER} steps at "
-                               f"{_element(mu, sigma, int(np.argmax(live)))}")
+        cap = np.maximum(0.5, 0.05 * np.abs(w))
+        was_left = np.zeros(n, dtype=bool)
+        live = np.ones(n, dtype=bool)
+        iterations = np.ones(n, dtype=np.int64)
+        for _ in range(MAX_ITER):
+            # h == 0 goes the careful way too: its step can be 0/0
+            right = live & (h >= 0.0)
+            neg_cap = -cap
+            capped = right & ~(step >= neg_cap)
+            step = np.where(capped, neg_cap, step)
+            cap = np.where(capped, 2.0 * cap, cap)
+            lower = np.where(right, lower, w)
+            new = np.maximum(w + step, lower)
+            abs_w = np.abs(w)
+            done = (right & was_left) | (h == 0.0) | (np.abs(new - w) <= 2.0 * _EPS * abs_w)
+            last = ~right & (np.abs(step) <= _LAST_STEP * np.maximum(1.0, abs_w))
+            moved = live & ~done
+            w = np.where(moved, new, w)
+            live = moved & ~last
+            was_left |= ~right
+            if not live.any():
+                break
+            h, step = _newton_step(w, mu, sigma, half_s2)
+            iterations += live
+        else:
+            raise ConvergenceError(f"censor not converged in {MAX_ITER} steps at "
+                                   f"{_element(mu, sigma, int(np.argmax(live)))}")
 
-    # a last step moves w past the h evaluated for it, so h is taken once more
-    residual = _residual(mu, _newton_step(w, mu, sigma)[0])
+        # the final pass's moves are last steps past the h evaluated for them,
+        # so h is taken there once more; elsewhere h is that of the final w
+        if moved.any():
+            h[moved] = _newton_step(w[moved], mu[moved], sigma[moved], half_s2[moved])[0]
+    residual = _residual(mu, h)
     if not (residual <= DEFAULT_TOL).all():
         i = int(np.argmin(residual <= DEFAULT_TOL))
         raise ConvergenceError(f"censor residual {residual[i]:.3e} above tol {DEFAULT_TOL:.3e} "
@@ -301,10 +305,11 @@ def _loss_inverse_float(y: float) -> float:
     """``_loss_inverse`` on a float; nan where y is not in (0, inf), as there."""
     if not 0.0 < y < math.inf:
         return math.nan
+    log_y = math.log(y)
     w = math.sqrt(-2.0 * math.log(y * SQRT_2PI)) if y < INV_SQRT_2PI else INV_SQRT_2PI - y
     for _ in range(2):
         gap = hazard(w) - w
-        w = w + (float(log_ndtr(-w)) + math.log(gap) - math.log(y)) * gap
+        w = w + (float(log_ndtr(-w)) + math.log(gap) - log_y) * gap
     return w
 
 
@@ -330,19 +335,24 @@ def solve_normal_censor(mu: float, sigma: float) -> CensorSolution:
     and pick, capped right step, lower bound, stop rules, domain and
     residual, held to DEFAULT_TOL.  W matches the kernel's to rounding
     (math.exp and numpy's exp may differ in the last bit), and
-    ``iterations`` counts the same passes.
+    ``iterations`` counts the same passes.  The residual exp(-mu)*|expm1(h)|
+    takes numpy's exp, as the kernel does, and math's expm1, the libm function
+    numpy calls, so it has the kernel's bits for the same h.
     """
     mu, sigma = float(mu), float(sigma)
     if not _in_domain(mu, sigma):
         raise DomainError(f"censor input (mu={mu!r}, sigma={sigma!r}) outside {_DOMAIN}")
 
     starts = _starts(mu, sigma)
-    evals = [_newton_step_float(s, mu, sigma) if s == s else (s, s) for s in starts]
-    # every start with h <= 0 lies left of the root; a nan step never wins
-    lower = max([starts[0]] + [s for s, (h, _) in zip(starts, evals) if h <= 0.0])
-    sizes = [abs(step) if step == step else math.inf for _, step in evals]
-    k = sizes.index(min(sizes))
-    w, (h, step) = starts[k], evals[k]
+    # every start with h <= 0 lies left of the root; the first shortest step wins,
+    # and a nan start, a form that does not apply, has a nan step, which never does
+    lower, pick = starts[0], None
+    for start in starts:
+        h, step = _newton_step_float(start, mu, sigma) if start == start else (start, start)
+        lower = max(lower, start) if h <= 0.0 else lower
+        size = abs(step) if step == step else math.inf
+        pick = (size, start, h, step) if pick is None or size < pick[0] else pick
+    _, w, h, step = pick
 
     cap = max(0.5, 0.05 * abs(w))
     was_left = False
@@ -367,7 +377,7 @@ def solve_normal_censor(mu: float, sigma: float) -> CensorSolution:
             f"censor not converged in {MAX_ITER} steps at (mu={mu!r}, sigma={sigma!r})")
 
     # h is that of the final w: a stop leaves w where h was taken
-    residual = float(_residual(mu, h))
+    residual = _residual(mu, h)
     if not residual <= DEFAULT_TOL:
         raise ConvergenceError(f"censor residual {residual:.3e} above tol {DEFAULT_TOL:.3e} "
                                f"at (mu={mu!r}, sigma={sigma!r})")
@@ -386,8 +396,8 @@ def censor_time_path(params: ModelParams, theta) -> CensorSolution:
         if not (theta > 0.0).all():
             raise DomainError(f"theta must be positive, got {float(theta[~(theta > 0.0)][0])!r}")
         return solve_normal_censor_array(*params.scaled(theta))
-    scaled = ScaledParams.from_horizon(params, theta)
-    return solve_normal_censor(scaled.mu, scaled.sigma)
+    _require_positive_finite("theta", theta)
+    return solve_normal_censor(*params.scaled(theta))
 
 
 def optimal_forward_quantity(b_tilde: float) -> float:

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +144,7 @@ def _load_config(path: str) -> dict:
 # subcommands
 
 def cmd_censor(args) -> int:
-    _emit_record(asdict(_censor_from_args(args)), args)
+    _emit_record(_censor_from_args(args)._asdict(), args)
     return EXIT_OK
 
 

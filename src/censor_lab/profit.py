@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .censor import censor_time_path, solve_normal_censor
 from .errors import DomainError
 from .model import ModelParams, _require_nonnegative_finite
-from .special import exp_or_inf, log_norm_cdf, log_norm_cdf_complement
+from .special import exp_or_inf, log_add_exp, log_norm_cdf, log_norm_cdf_complement
 
 
 def indirect_profit(b: float) -> float:
@@ -41,8 +39,7 @@ def log_expected_profit(mu: float, sigma: float,
     """log g(mu, sigma); elementwise when w is an array of solved censors."""
     if w is None:
         w = solve_normal_censor(mu, sigma).w
-    log_g = np.logaddexp(*log_profit_terms(mu, sigma, w))
-    return log_g if isinstance(w, np.ndarray) else float(log_g)
+    return log_add_exp(*log_profit_terms(mu, sigma, w))
 
 
 def expected_profit(mu: float, sigma: float, w: float | None = None) -> float:

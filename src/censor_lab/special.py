@@ -21,6 +21,7 @@ SQRT2 = math.sqrt(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 INV_SQRT_2PI = 1.0 / SQRT_2PI
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+LOG_2 = math.log(2.0)
 
 # erfcx(|x|/sqrt(2)) overflows for x below this; the complement is 1 to
 # machine precision there anyway.
@@ -33,11 +34,27 @@ def _ufunc(f, x):
 
 
 def exp_or_inf(x):
-    """exp(x), or inf from x = 709 (just below log DBL_MAX) on; elementwise on arrays."""
+    """exp(x), or inf from x = 709 (just below log DBL_MAX) on, and nan at nan; elementwise."""
     if isinstance(x, np.ndarray):
         with np.errstate(over="ignore"):
-            return np.where(x < 709.0, np.exp(x), math.inf)
-    return math.exp(x) if x < 709.0 else math.inf
+            return np.where(x >= 709.0, math.inf, np.exp(x))
+    return math.inf if x >= 709.0 else math.exp(x)
+
+
+def log_add_exp(a, b):
+    """log(exp(a) + exp(b)); elementwise, by np.logaddexp, on arrays.
+
+    On floats it takes np.logaddexp's steps in ``math``: the same bits,
+    without numpy's per-call cost and without a warning.
+    """
+    if isinstance(a, np.ndarray):
+        return np.logaddexp(a, b)
+    if a == b:
+        return a + LOG_2
+    d = a - b
+    if d > 0.0:
+        return a + math.log1p(math.exp(-d))
+    return b + math.log1p(math.exp(d)) if d <= 0.0 else d
 
 
 def norm_pdf(x):
@@ -74,8 +91,10 @@ def log_norm_cdf_complement(x):
 def hazard(x):
     """Normal hazard rate H(x) = pdf(x) / (1 - Phi(x))."""
     if isinstance(x, np.ndarray):
-        return np.where(x < _HAZARD_UNDERFLOW, norm_pdf(x),
-                        SQRT_2_OVER_PI / _sp.erfcx(x / SQRT2))
+        h = np.asarray(SQRT_2_OVER_PI / _sp.erfcx(x / SQRT2))
+        tail = x < _HAZARD_UNDERFLOW  # rare, and as on floats, so both give the same bits
+        h[tail] = [norm_pdf(v) for v in x[tail].tolist()]
+        return h
     if x < _HAZARD_UNDERFLOW:
         return norm_pdf(x)
     return SQRT_2_OVER_PI / float(_sp.erfcx(x / SQRT2))

@@ -33,6 +33,7 @@ with sigma' = sigma/(2*theta) and W' = mu_bar*dW/dmu + sigma'*dW/dsigma (``stati
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -43,7 +44,7 @@ from .errors import ConvergenceError, DomainError
 from .model import ModelParams
 from .profit import g_bar, log_profit_terms
 from .roots import newton
-from .special import INV_SQRT_2PI, exp_or_inf
+from .special import INV_SQRT_2PI, exp_or_inf, log_add_exp
 from .statics import _dw_dmu_at, _dw_dsigma_at
 
 ENDPOINT_MARGIN = 1e-9
@@ -97,11 +98,12 @@ def _horizon(theta, params: ModelParams) -> _Horizon:
     """One censor solve at theta > 0; an array of thetas is one call of the array kernel."""
     sol = censor_time_path(params, theta)
     log_growth, log_rest = log_profit_terms(sol.mu, sol.sigma, sol.w)
-    g = exp_or_inf(np.logaddexp(log_growth, log_rest))
+    g = exp_or_inf(log_add_exp(log_growth, log_rest))
     growth = exp_or_inf(log_growth)
-    # g_bar' overflows where sigma_bar^2 is large, and is inf - inf = nan
-    # where g overflows too; solve_foc turns either into a ConvergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
+    # g_bar' overflows where sigma_bar^2 is large, and is inf - inf = nan where g
+    # overflows too (floats without a warning); solve_foc raises ConvergenceError
+    quiet = isinstance(theta, np.ndarray)
+    with np.errstate(over="ignore", invalid="ignore") if quiet else nullcontext():
         return _Horizon(g, params.sigma2_bar * growth - params.mu_bar * (g - sol.u), sol)
 
 

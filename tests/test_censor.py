@@ -28,7 +28,7 @@ from censor_lab.censor import (
 )
 from censor_lab.errors import ConvergenceError, DomainError
 from censor_lab.model import ModelParams, ScaledParams
-from censor_lab.profit import expected_profit, g_bar
+from censor_lab.profit import expected_profit, g_bar, log_expected_profit
 from censor_lab.special import inv_norm_cdf, norm_cdf, norm_cdf_complement
 
 EPS = np.finfo(float).eps
@@ -459,3 +459,41 @@ class TestTinyDrift:
         sol = solve_normal_censor_array(float(np.finfo(float).tiny), sigmas)
         assert (sol.iterations <= 6).all()
         assert (sol.residual <= 1e-12).all()
+
+
+# (mu, sigma, W, log b_tilde, iterations, log g) of the float solve and
+# profit.log_expected_profit across the domain, as their reprs: every value
+# the float path computes is pinned to the bit, so no rewrite of its
+# arithmetic can move one unseen
+PINNED = [
+    (2.3e-308, 1.0, 38.42115536870355, 37.92115536870355, 2, 1.0),
+    (1e-300, 0.01, 36.8348990013821, 0.368298990013821, 3, 0.0001),
+    (1e-17, 0.3, 8.394466505730822, 2.4733399517192467, 3, 0.08999999999999998),
+    (1e-12, 1e-08, 3.363015296394276, 3.363115291394277e-08, 4, 9.990923019453923e-17),
+    (1e-09, 0.0001, 3.923656369899974, 0.0003923616369899974, 3, 9.999171720296034e-09),
+    (1e-06, 0.05, 3.8092635732837445, 0.18921417866418724, 3, 0.0024996680644210254),
+    (0.001, 3.0, 5.862877878558509, 13.08963363567553, 4, 8.999),
+    (0.05, 0.3, 0.8302208061566628, 0.25406624184699883, 3, 0.061999969888573495),
+    (0.05, 1e-06, -49999.99999950001, 0.0, 1, 4.121966156834735e-18),
+    (0.2, 0.07, -2.821448265061018, 4.862144572871001e-05, 3, 1.921844516954846e-06),
+    (0.5, 5.0, 5.077627079372222, 13.38813539686111, 3, 24.5),
+    (1.0, 1.0, -0.32375978764474317, 0.1762402123552569, 4, 0.24388130753165183),
+    (2.5, 0.8, -2.7242032684059545, 0.0006373852752361575, 3, 0.0003707392077650965),
+    (5.0, 20.0, 17.4757503433546, 154.51500686709204, 3, 395.0),
+    (30.0, 8.0, 0.3624882016769404, 0.8999056134155268, 4, 34.0),
+    (30.0, 100.0, 92.63194660522369, 4293.194660522369, 3, 9970.0),
+    (100.0, 12.0, -2.3326632023356977, 0.008041571971631356, 3, 44.0),
+    (300.0, 1000.0, 975.6725487296417, 475972.5487296417, 2, 999700.0),
+    (700.0, 0.1, -6999.95, 0.0, 1, 4.548444954011188e-15),
+    (700.0, 10000.0, 9962.704820180412, 49627748.20180412, 1, 99999300.0),
+    (0.01, 10000.0, 10002.328121749179, 50023281.227491796, 2, 99999999.99),
+]
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("mu, sigma, w, log_b, iterations, log_g", PINNED)
+    def test_float_path_keeps_its_bits(self, mu, sigma, w, log_b, iterations, log_g):
+        sol = solve_normal_censor(mu, sigma)
+        assert (sol.w, sol.log_b_tilde, sol.iterations) == (w, log_b, iterations)
+        assert log_expected_profit(mu, sigma) == log_g
+        assert log_expected_profit(mu, sigma, sol.w) == log_g

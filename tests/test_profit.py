@@ -13,7 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from censor_lab.censor import solve_normal_censor
+from censor_lab import censor as censor_module
+from censor_lab import profit as profit_module
+from censor_lab.censor import censor_time_path, solve_normal_censor
 from censor_lab.errors import DomainError
 from censor_lab.model import ModelParams
 from censor_lab.profit import (
@@ -165,3 +167,38 @@ class TestHorizonProfit:
         params = ModelParams.from_variance(0.05, 0.07)
         for theta in (0.1, 1.0, 10.0):
             assert g_bar(theta, params) > myopic_profit(theta, params)
+
+
+class TestNanW:
+    def test_expected_profit_is_nan_where_its_log_is(self):
+        # the exp of a nan log g is nan, not inf
+        assert math.isnan(log_expected_profit(0.05, 0.3, math.nan))
+        assert math.isnan(expected_profit(0.05, 0.3, math.nan))
+
+
+class TestOnePublicSolve:
+    """A float evaluation makes exactly one solve_normal_censor call.
+
+    The counting tests and the benchmark's tracer see a solve only as a call
+    of that public function, so none may be inlined or repeated.
+    """
+
+    PARAMS = ModelParams.from_variance(0.05, 0.07)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda p: g_bar(0.7, p),
+        lambda p: censor_time_path(p, 0.7),
+        lambda p: log_expected_profit(0.05, 0.3),
+        lambda p: value_of_waiting(0.05, 0.3),
+    ], ids=["g_bar", "censor_time_path", "log_expected_profit", "value_of_waiting"])
+    def test_one_call(self, monkeypatch, evaluate):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_normal_censor(*args, **kwargs)
+
+        for mod in (censor_module, profit_module):
+            monkeypatch.setattr(mod, "solve_normal_censor", counting)
+        evaluate(self.PARAMS)
+        assert len(calls) == 1

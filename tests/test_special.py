@@ -7,6 +7,7 @@ true value; the inverse CDF is verified by round-tripping.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from censor_lab.special import (
     exp_or_inf,
     hazard,
     inv_norm_cdf,
+    log_add_exp,
     log_norm_cdf,
     log_norm_cdf_complement,
     norm_cdf,
@@ -222,3 +224,49 @@ class TestInverseCdf:
         assert np.array_equal(out, inv_norm_cdf(p))
         with pytest.raises(DomainError, match=r"got nan at flat index 1"):
             inv_norm_cdf(np.array([0.5, np.nan]), out=np.empty(2))
+
+
+class TestExpOrInfNan:
+    def test_nan_stays_nan(self):
+        # nan fails every comparison, so a threshold test alone sends it to inf
+        assert math.isnan(exp_or_inf(math.nan))
+        values = exp_or_inf(np.array([math.nan, 0.0, 709.0]))
+        assert math.isnan(values[0])
+        assert values[1:].tolist() == [1.0, math.inf]
+
+
+def _same_bits(got, want):
+    """Elementwise: equal with the same sign, or both nan."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    both_nan = np.isnan(got) & np.isnan(want)
+    return both_nan | ((got == want) & (np.signbit(got) == np.signbit(want)))
+
+
+class TestLogAddExp:
+    INF = math.inf
+    EDGES = [(0.0, 0.0), (-3.5, -3.5), (745.0, 745.0), (INF, INF), (-INF, -INF),
+             (INF, -INF), (-INF, INF), (INF, 1.0), (1.0, INF), (-INF, 1.0), (1.0, -INF),
+             (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.nan, INF),
+             (-INF, math.nan), (1e308, 1e308), (-1e308, 1e308), (5e-324, -5e-324)]
+
+    def test_float_branch_has_numpys_bits(self):
+        rng = np.random.default_rng(2029)
+        a = rng.uniform(-800.0, 800.0, 20000) * 10.0 ** rng.integers(-8, 1, 20000)
+        gap = rng.normal(0.0, 1.0, 20000) * 10.0 ** rng.integers(-17, 3, 20000)
+        a = np.concatenate([a, [x for x, _ in self.EDGES]])
+        b = np.concatenate([a[:20000] + gap, [y for _, y in self.EDGES]])
+        with np.errstate(all="ignore"):
+            want = np.logaddexp(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [log_add_exp(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert all(type(v) is float for v in got)
+        assert _same_bits(got, want).all()
+
+
+class TestHazardBranches:
+    def test_array_has_the_float_branchs_bits(self):
+        # the x < -37 tail included, where the density replaces erfcx
+        x = np.linspace(-60.0, 60.0, 120001)
+        assert (x < -37.0).sum() > 20000
+        assert _same_bits(hazard(x), [hazard(v) for v in x.tolist()]).all()
