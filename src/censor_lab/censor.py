@@ -115,12 +115,16 @@ def mu_hat(mu):
     below ~1.1e-16) and where 1 - exp(-mu) does (at mu = 700).
     """
     m = -ndtri_exp(-mu)
-    if isinstance(m, np.ndarray):
-        if np.isfinite(m).all():
-            return m
-    elif math.isfinite(m):
-        return float(m)
-    raise DomainError(f"mu must be positive and finite, got {mu!r}")
+    if not isinstance(m, np.ndarray):
+        if math.isfinite(m):
+            return float(m)
+        raise DomainError(f"mu must be positive and finite, got {float(mu)!r}")
+    finite = np.isfinite(m)
+    if finite.all():
+        return m
+    i = int(np.argmin(finite))
+    raise DomainError(f"mu must be positive and finite, got {float(mu.flat[i])!r} "
+                      f"at flat index {i}")
 
 
 def lower_start(mu, sigma):
@@ -333,9 +337,10 @@ def solve_normal_censor(mu: float, sigma: float) -> CensorSolution:
 
     ``solve_normal_censor_array``'s iteration step for step: the same starts
     and pick, capped right step, lower bound, stop rules, domain and
-    residual, held to DEFAULT_TOL.  W matches the kernel's to rounding
-    (math.exp and numpy's exp may differ in the last bit), and
-    ``iterations`` counts the same passes.  The residual exp(-mu)*|expm1(h)|
+    residual, held to DEFAULT_TOL.  W agrees with the kernel's within the root's
+    conditioning eps*(|W| + 1/F_w) (math.exp and numpy's exp may differ in the last
+    bit), and ``iterations`` counts the same passes, unless F_w underflows (mu ~ 1e-76,
+    sigma ~ 1e-15), where W is undetermined.  The residual exp(-mu)*|expm1(h)|
     takes numpy's exp, as the kernel does, and math's expm1, the libm function
     numpy calls, so it has the kernel's bits for the same h.
     """

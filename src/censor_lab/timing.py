@@ -1,15 +1,15 @@
 """Optimal re-stocking date.
 
-The revenue over the unit interval is R(theta) = theta + (1 - theta) *
-g_bar(theta); the first-order condition is solved exactly by scanning
-R' = 1 - g_bar + (1 - theta) * g_bar' for its first sign change, in one
-call of the array censor kernel over the scan grid, and refining that
-bracket by Newton's method on R' and R'' (``roots.newton``) on scalar
-solves.  As R'(0+) = sigma_bar^2 > 0, a first sign change from + to - is
-a local maximum of R.  The last scalar solve gives R(theta*) and the FOC
-residual, so no horizon is solved twice.  The two simplified closed-form
-cases (substitute profit models 1 + A*theta*exp(-alpha*theta) and
-exp(alpha*theta)) are exposed separately in terms of alpha alone.
+The revenue over the unit interval is R(theta) = theta + (1 - theta) * g_bar(theta);
+the first-order condition is solved exactly by scanning
+R' = 1 - g_bar + (1 - theta) * g_bar' for its first sign change, in one call of the
+array censor kernel over the scan grid, and refining that cell from the scan's R'
+at its ends by Newton's method on R' and R'' (``roots.newton``) on scalar solves.
+As R'(0+) = sigma_bar^2 > 0, a first sign change from + to - is a local maximum
+of R.  The last solve, scalar or the scan's, gives R(theta*) and the FOC residual,
+so no horizon is solved twice.  The two simplified closed-form cases (substitute
+profit models 1 + A*theta*exp(-alpha*theta) and exp(alpha*theta)) are exposed
+separately in terms of alpha alone.
 
 g_bar' has a closed form.  Differentiating F(W, sigma) = exp(-mu)
 implicitly gives the total derivatives of g(mu, sigma) along the censor,
@@ -119,12 +119,13 @@ def _revenue_prime(theta, params: ModelParams):
 def solve_foc(params: ModelParams) -> TimingSolution:
     """Smallest stationary point of R in (0, 1): a local max, its FOC residual <= FOC_TOL.
 
-    R' > 0 at the first scan point, and R' < 0 past its first sign change in
-    the scan and at the scalar bracket ends, so that root is a maximum of R.
+    R' > 0 at the first scan point and R' < 0 just past its first sign change in
+    the scan, so that root is a maximum of R; a root on a grid point is the scan's.
     """
     lo_end, hi_end = ENDPOINT_MARGIN, 1.0 - ENDPOINT_MARGIN
     grid = lo_end + (hi_end - lo_end) * np.arange(SCAN_POINTS) / (SCAN_POINTS - 1)
-    values = _revenue_prime(grid, params)
+    scan = _horizon(grid, params)
+    values = scan.revenue_prime(grid)
 
     # the first grid point that is a root or starts a sign change, found by
     # comparing signs: the product of two neighbours can overflow
@@ -136,22 +137,15 @@ def solve_foc(params: ModelParams) -> TimingSolution:
             f"for {params}; a maximum is guaranteed for valid inputs")
     i = hits[0]
 
-    lo, hi = float(grid[i]), float(grid[i + 1])
-    theta_star, at = lo, _horizon(lo, params)
+    theta_star, at = float(grid[i]), _Horizon(float(scan.g[i]), float(scan.g_prime[i]))
     if values[i] != 0.0:
-        r_lo, r_hi = at.revenue_prime(lo), _revenue_prime(hi, params)
-        if not r_lo > 0.0 > r_hi:
-            raise ConvergenceError(
-                "the scalar solves do not confirm the scan's sign change of R' "
-                f"on [{lo}, {hi}] for {params}")
-
         def fdf(theta: float) -> tuple[float, float]:
             # newton's root is the last theta it calls this at: at is kept for it
             nonlocal at
             at = _horizon(theta, params)
             return at.revenue_prime(theta), at.revenue_second(theta, params)
 
-        theta_star = newton(fdf, lo, hi, r_lo, r_hi, xtol=1e-14, params=params)[0]
+        theta_star = newton(fdf, *grid[i:i + 2], *values[i:i + 2], xtol=1e-14, params=params)[0]
 
     if not at.g_prime > 0.0:
         raise ConvergenceError(f"g_bar' = {at.g_prime:.3e} is not positive at theta={theta_star}")

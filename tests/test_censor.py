@@ -6,6 +6,7 @@ martingale normalization E[b ^ b_tilde] = 1 without using F at all.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,20 @@ class TestMuHat:
         assert mu_hat(math.log(2.0)) == pytest.approx(0.0, abs=1e-12)
         assert mu_hat(0.05) < 0.0
         assert mu_hat(1.0) > 0.0
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_bad_mu_is_named_as_a_float(self, mu):
+        for x in (mu, np.float64(mu)):
+            with pytest.raises(DomainError, match=re.escape(f"got {mu!r}") + "$"):
+                mu_hat(x)
+
+    def test_bad_element_is_named_by_its_flat_index(self):
+        with pytest.raises(DomainError, match=r"got 0\.0 at flat index 1$"):
+            mu_hat(np.array([0.05, 0.0]))
+        mus = np.full((200, 100), 0.05)
+        mus[123, 45] = math.nan
+        with pytest.raises(DomainError, match=r"got nan at flat index 12345$"):
+            mu_hat(mus)
 
 
 class TestQuantityAndTimePath:
@@ -361,6 +376,35 @@ class TestScalarSolve:
             return
         assert np.isfinite(sol.w).all() and (sol.log_b_tilde >= 0.0).all()
         assert (sol.residual <= 1e-12).all()
+
+
+class TestTypedErrors:
+    """The solvers' ConvergenceErrors, forced by one allowed pass or a negative tolerance."""
+
+    def test_not_converged(self, monkeypatch):
+        monkeypatch.setattr(censor_module, "MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match=r"not converged in 1 steps at "
+                           r"\(mu=0\.05, sigma=0\.3\)$"):
+            solve_normal_censor(0.05, 0.3)
+        with pytest.raises(ConvergenceError, match=r"not converged in 1 steps at "
+                           r"element 0 \(mu=0\.05, sigma=0\.3\)$"):
+            solve_normal_censor_array(0.05, 0.3)
+
+    def test_residual_above_tol(self, monkeypatch):
+        monkeypatch.setattr(censor_module, "DEFAULT_TOL", -1.0)
+        with pytest.raises(ConvergenceError, match=r"above tol -1\.000e\+00 at "
+                           r"\(mu=0\.05, sigma=0\.3\)$"):
+            solve_normal_censor(0.05, 0.3)
+        with pytest.raises(ConvergenceError, match=r"above tol -1\.000e\+00 at "
+                           r"element 0 \(mu=0\.05, sigma=0\.3\)$"):
+            solve_normal_censor_array([0.05, 1.0], [0.3, 0.3])
+
+    def test_capped_right_step_matches_kernel(self):
+        # at this tiny (mu, sigma) the float solve takes its capped right step
+        mu, sigma = 3.984697800664088e-18, 2.5604147303082086e-17
+        sol, kernel = solve_normal_censor(mu, sigma), solve_normal_censor_array(mu, sigma)
+        assert (sol.w, sol.iterations) == (float(kernel.w), int(kernel.iterations))
+        assert (sol.w, sol.iterations) == (8.460840096250422, 3)
 
 
 class TestSigmaMax:

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -160,6 +161,11 @@ class TestTimingCommand:
                          "--mu-bar", "0.05", "--sigma2-bar", "0.07")
         assert code == EXIT_USAGE
 
+    def test_horizon_pair_required(self, capsys):
+        code, _, err = run(capsys, "timing", "--sigma2-bar", "0.07")
+        assert code == EXIT_USAGE
+        assert "--mu-bar and --sigma2-bar are required" in err
+
     @pytest.mark.parametrize("mu_bar,sigma2_bar", [("50", "0.001"), ("100", "0.07")])
     def test_rounding_level_slope_is_numerical_failure(self, capsys, mu_bar, sigma2_bar):
         # R' sits at the rounding level: it touches 0 without turning negative
@@ -236,6 +242,18 @@ class TestFiguresCommand:
         code, _, _ = run(capsys, "figures", "--out", str(tmp_path),
                          "--points", "1")
         assert code == EXIT_USAGE
+
+    def test_out_under_a_regular_file(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        code, _, err = run(capsys, "figures", "--out", str(tmp_path / "file" / "sub"))
+        assert code == EXIT_USAGE
+        assert "cannot create output directory" in err
+
+    def test_csv_path_is_a_directory(self, capsys, tmp_path):
+        (tmp_path / "g_bar_low_var.csv").mkdir()
+        code, _, err = run(capsys, "figures", "--out", str(tmp_path), "--points", "5")
+        assert code == EXIT_USAGE
+        assert f"cannot write {tmp_path / 'g_bar_low_var.csv'}" in err
 
     def test_theta_max_must_exceed_grid_start(self, capsys, tmp_path):
         code, _, err = run(capsys, "figures", "--out", str(tmp_path),
@@ -515,6 +533,29 @@ class TestConfigLayer:
         code, _, _ = run(capsys, "censor", "--config",
                          str(tmp_path / "absent.cfg"))
         assert code == EXIT_USAGE
+
+
+def readme_cli_lines():
+    """The ``censor-lab ...`` lines of the README's CLI block, comments dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("censor-lab ")]
+
+
+class TestReadme:
+    def test_cli_block_has_every_command(self):
+        commands = {shlex.split(line)[1] for line in readme_cli_lines()}
+        assert commands == {"censor", "profit", "timing", "figures", "statics", "mc-check"}
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_cli_line_runs(self, capsys, monkeypatch, tmp_path, line):
+        # in a fresh working directory, so figures writes its CSVs there
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CENSOR_LAB_SEED", raising=False)
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert code == EXIT_OK, err
+        assert out
 
 
 def _child_env():

@@ -276,6 +276,43 @@ class TestNoReSolves:
         assert len(set(scalar)) == len(scalar)
 
 
+class TestScanEnds:
+    @pytest.mark.parametrize("s2,solves", [(0.03, 3), (0.07, 3), (0.15, 2)])
+    def test_no_scalar_solve_at_a_cell_end(self, monkeypatch, s2, solves):
+        # R' at the cell's ends comes from the scan: the scalar solves are
+        # Newton's steps inside the cell, and none repeats a scan point
+        scalar, kernel = [], []
+
+        def counting_scalar(*args, **kwargs):
+            scalar.append(args)
+            return solve_normal_censor(*args, **kwargs)
+
+        def counting_kernel(*args, **kwargs):
+            kernel.append(args)
+            return solve_normal_censor_array(*args, **kwargs)
+
+        for mod in (censor_module, profit_module, statics_module):
+            monkeypatch.setattr(mod, "solve_normal_censor", counting_scalar)
+        monkeypatch.setattr(censor_module, "solve_normal_censor_array", counting_kernel)
+        solve_foc(make_params(s2))
+        assert len(scalar) == solves
+        assert len(kernel) == 1 and kernel[0][0].shape == (timing_module.SCAN_POINTS,)
+        scanned = set(zip(kernel[0][0].tolist(), kernel[0][1].tolist()))
+        assert not scanned & set(scalar)
+
+    @pytest.mark.parametrize("mu_bar,sigma2_bar", [
+        (54.19920975356921, 0.1778279410038923),
+        (126.55471588552186, 0.01333521432163324),
+        (295.5042367902872, 0.001),
+        (295.5042367902872, 0.03162277660168379),
+    ])
+    def test_rounding_level_box_corners_rejected(self, mu_bar, sigma2_bar):
+        # 25 x 25 box points where R' sits at its rounding level near theta = 0:
+        # g_bar' underflows to 0 there, or the FOC residual is ~1
+        with pytest.raises(ConvergenceError):
+            solve_foc(ModelParams.from_variance(mu_bar, sigma2_bar))
+
+
 # the box of (mu_bar, sigma2_bar) solve_foc is swept over: theta < 1 keeps
 # mu = mu_bar*theta inside the censor's domain
 MU_BAR_BOX = (1e-6, 690.0)
@@ -309,8 +346,8 @@ class TestRootRule:
     @pytest.mark.parametrize("mu_bar,sigma2_bar", [(50.0, 0.001), (100.0, 0.07)])
     def test_rounding_level_revenue_slope_rejected(self, mu_bar, sigma2_bar):
         # at the first point g_bar' underflows to 0 and the scanned R' touches
-        # 0 without turning negative; at the second the scan and the scalar
-        # solves disagree on the sign of R' at a cell end
+        # 0 without turning negative; at the second the FOC residual at the
+        # root (~1.0) is far above FOC_TOL
         with pytest.raises(ConvergenceError):
             solve_foc(ModelParams.from_variance(mu_bar, sigma2_bar))
 
